@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .analysis import (
@@ -79,18 +80,12 @@ def _json_text(obj: dict) -> str:
 def _load(args: argparse.Namespace) -> RunConfig:
     run = load_run_config(args.config)
     if args.seed is not None:
-        run = _replace_run(run, seed=args.seed)
+        run = replace(run, seed=args.seed)
     if args.out is not None:
-        run = _replace_run(run, out=args.out)
+        run = replace(run, out=args.out)
     if getattr(args, "format", None):
-        run = _replace_run(run, out_format=args.format)
+        run = replace(run, out_format=args.format)
     return run
-
-
-def _replace_run(run: RunConfig, **kw) -> RunConfig:
-    from dataclasses import replace
-
-    return replace(run, **kw)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -159,7 +154,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
         if args.grid:
             grid = _parse_grid(args.grid)
         else:
-            knee = a_limit and max_frequency(a_limit, run.adc.delta, 1.0 / clk)
+            knee = max_frequency(a_limit, run.adc.delta, 1.0 / clk)
             grid = _parse_grid(f"{knee / 100.0}:{knee * 100.0}:61:log")
         curve = boundary_curve(clk, run.adc.delta, a_limit, grid)
         lines = ["f_hz,a_max"]

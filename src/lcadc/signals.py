@@ -1,10 +1,12 @@
 """Analog input waveforms: exact evaluation, slope bounds, and crossing search.
 
-Waveforms are small frozen dataclasses.  The crossing search brackets on a
-fixed time grid whose pitch is derived from the waveform's slope bound (so no
-excursion wider than a fraction of the window can slip between grid points)
-and then bisects down to the time tolerance.  Piecewise-linear variants are
-solved in closed form instead.
+Waveforms are small frozen dataclasses.  Crossings of a single sine are solved
+in closed form from ``asin``, so an excursion past a boundary is found however
+shallow it is; ramps and sampled waveforms are piecewise linear and solved in
+closed form too.  Only sums of sines, and the re-entry search of sampled
+waveforms, scan a fixed time grid whose pitch is derived from the waveform's
+slope bound (so no excursion wider than a fraction of the window can slip
+between grid points) and then bisect down to the time tolerance.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ TIME_REL_TOL = 1e-9   # relative time resolution
 # this well below 1 guarantees a genuine traversal cannot be stepped over.
 _PITCH_WINDOW_FRACTION = 0.25
 _PERIOD_DIVISIONS = 64
+
+_TWO_PI = 2.0 * math.pi
+# Step past a closed-form sine root, as a fraction of the time tolerance.
+_ROOT_STEP_FRACTION = 1.0 / 64.0
 
 
 class Direction(Enum):
@@ -168,18 +174,10 @@ def _time_tol(t: float) -> float:
     return max(TIME_ABS_TOL, TIME_REL_TOL * abs(t))
 
 
-def _shortest_period(spec: SignalSpec) -> float | None:
-    if isinstance(spec, Sine):
-        return 1.0 / spec.frequency
-    if isinstance(spec, SumOfSines):
-        return 1.0 / max(f for _, f, _ in spec.tones)
-    return None
-
-
-def _scan_pitch(spec: SignalSpec, width: float) -> float:
+def _scan_pitch(spec: SumOfSines | Sampled, width: float) -> float:
     pitch = math.inf
-    period = _shortest_period(spec)
-    if period is not None:
+    if isinstance(spec, SumOfSines):
+        period = 1.0 / max(f for _, f, _ in spec.tones)
         pitch = period / _PERIOD_DIVISIONS
     slope = max_slope(spec)
     if slope > 0.0:
@@ -214,6 +212,10 @@ def next_window_exit(
     as an exit.  The returned time lies just past the true crossing, within
     max(1e-12 s, 1e-9 relative), so the signal evaluates strictly beyond the
     boundary there.
+
+    Sines, ramps and sampled waveforms are solved in closed form.  Sums of
+    sines are scanned on a fixed grid and then bisected, so an excursion
+    that passes a boundary only briefly can fall between grid points.
     """
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
@@ -226,14 +228,16 @@ def next_window_exit(
         )
     if isinstance(spec, Constant):
         return None
+    if isinstance(spec, Sine):
+        return _sine_traversal(
+            spec, t_from, horizon, ((hi, True, Direction.UP), (lo, False, Direction.DOWN))
+        )
     if isinstance(spec, Ramp):
         return _ramp_exit(spec, t_from, v0, lo, hi, horizon)
     if isinstance(spec, Sampled):
         return _sampled_exit(spec, t_from, v0, lo, hi, horizon)
 
     pitch = _scan_pitch(spec, hi - lo)
-    if not math.isfinite(pitch):
-        return None
     t_prev = t_from
     k = 1
     while True:
@@ -249,6 +253,86 @@ def next_window_exit(
             return None
         t_prev = t_k
         k += 1
+
+
+def _sine_traversal(
+    spec: Sine,
+    t_from: float,
+    horizon: float,
+    traversals: tuple[tuple[float, bool, Direction | None], ...],
+) -> tuple[float, Direction | None] | None:
+    """Earliest of ``traversals`` of a sine in (t_from, horizon], solved in
+    closed form, as (t, tag), or None.
+
+    Each traversal is (level, rising, tag): the signal crosses ``level``
+    upward when ``rising`` and downward otherwise.  With s = (level -
+    offset)/amplitude, the signal lies strictly beyond the level on phase
+    intervals of half-width pi/2 - asin(s) around pi/2 (upward) or pi/2 +
+    asin(s) around -pi/2 (downward), plus 2*pi*k.  A level the extremum only
+    touches (s >= 1 upward, s <= -1 downward) is never traversed.  The first
+    interval whose extremum lies after t_from gives the root; a root at or
+    before t_from is a start on the boundary moving outward.
+    """
+    if spec.amplitude == 0.0:
+        return None
+    omega = 2.0 * math.pi * spec.frequency
+    theta0 = omega * t_from + spec.phase
+    roots = []
+    for level, rising, tag in traversals:
+        s = (level - spec.offset) / spec.amplitude
+        if rising:
+            if s >= 1.0:
+                continue
+            center, half = 0.5 * math.pi, 0.5 * math.pi - math.asin(max(s, -1.0))
+        else:
+            if s <= -1.0:
+                continue
+            center, half = -0.5 * math.pi, 0.5 * math.pi + math.asin(min(s, 1.0))
+        k = math.floor((theta0 - center) / _TWO_PI) + 1
+        t_peak = (center + _TWO_PI * k - spec.phase) / omega
+        if t_peak <= t_from:  # rounding put t_from on the extremum itself
+            t_peak += _TWO_PI / omega
+        roots.append((t_peak - half / omega, t_peak, level, rising, tag))
+    for t_root, t_peak, level, rising, tag in sorted(roots, key=lambda r: r[0]):
+        t = _sine_beyond(spec, t_from, t_root, t_peak, level, rising, horizon)
+        if t is not None:
+            return t, tag
+    return None
+
+
+def _sine_beyond(
+    spec: Sine,
+    t_from: float,
+    t_root: float,
+    t_peak: float,
+    level: float,
+    rising: bool,
+    horizon: float,
+) -> float | None:
+    """Time just past ``t_root`` where the signal evaluates strictly beyond
+    ``level``, no later than the excursion's extremum ``t_peak`` or
+    ``horizon``; None if the excursion never shows beyond the level in
+    floating point (a tangent) or starts after ``horizon``.
+
+    The root is accurate to a few ulps unless the crossing is nearly
+    tangent, so the first candidate is a small fraction of ``_time_tol``
+    past it (past ``t_from`` for a start on the boundary moving outward).
+    Past the horizon only the horizon itself is tried, as the scan does.  A
+    crossing too shallow to show that soon is bisected against the extremum.
+    """
+
+    def beyond(t: float) -> bool:
+        v = evaluate(spec, t)
+        return v > level if rising else v < level
+
+    t_last = min(t_peak, horizon)
+    t = max(t_root, t_from)
+    t = min(t + _time_tol(t) * _ROOT_STEP_FRACTION, t_last)
+    if beyond(t):
+        return t
+    if t < t_last and beyond(t_last):
+        return _bisect_beyond(spec, t, t_last, level, rising)
+    return None
 
 
 def _ramp_exit(
@@ -316,7 +400,8 @@ def next_window_entry(
     Counterpart of next_window_exit used to recover from range saturation:
     the signal starts on or beyond one boundary and the returned time lies
     just past its traversal back inside.  A signal already strictly inside
-    is returned immediately as ``t_from``.
+    is returned immediately as ``t_from``.  Sines and ramps are solved in
+    closed form; sums of sines and sampled waveforms are scanned and bisected.
     """
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
@@ -326,16 +411,19 @@ def next_window_entry(
     if lo < v0 < hi:
         return t_from
     from_above = v0 >= hi
+    boundary = hi if from_above else lo
 
     if isinstance(spec, Constant):
         return None
+    if isinstance(spec, Sine):
+        found = _sine_traversal(spec, t_from, horizon, ((boundary, not from_above, None),))
+        return None if found is None else found[0]
     if isinstance(spec, Ramp):
         if spec.slope == 0.0:
             return None
         moving_in = (spec.slope < 0.0) if from_above else (spec.slope > 0.0)
         if not moving_in:
             return None
-        boundary = hi if from_above else lo
         t_hit = t_from + (boundary - v0) / spec.slope
         t_in = max(t_hit, t_from) + _time_tol(max(t_hit, t_from))
         if t_in > horizon:
@@ -349,7 +437,6 @@ def next_window_entry(
         raise OutOfSpanError(
             f"horizon {horizon} beyond sampled span [0, {spec.span}]"
         )
-    boundary = hi if from_above else lo
     t_prev = t_from
     k = 1
     while True:
@@ -359,15 +446,7 @@ def next_window_entry(
         v = evaluate(spec, t_k)
         if lo < v < hi:
             # bisect the boundary traversal; the inside endpoint is returned
-            a, b = t_prev, t_k
-            while b - a > _time_tol(b):
-                m = 0.5 * (a + b)
-                vm = evaluate(spec, m)
-                if (vm < boundary) if from_above else (vm > boundary):
-                    b = m
-                else:
-                    a = m
-            return b
+            return _bisect_beyond(spec, t_prev, t_k, boundary, not from_above)
         if t_k >= horizon:
             return None
         t_prev = t_k

@@ -342,3 +342,17 @@ def test_settle_time_delays_power_up():
     ev = tr.events[0]
     assert ev.t_on == pytest.approx(ev.t_ack + 0.05, abs=1e-12)
     assert ev.off_duration == pytest.approx(0.2 + 0.05, abs=1e-9)
+
+
+def test_shallow_peak_served_at_every_clock_phase():
+    # the peak passes the 14 V level by 0.5 mV and lasts about 2.7 us above
+    # it; the trough passes -13 V.  Each period traverses 28 levels twice.
+    spec = Sine(amplitude=13.7005, frequency=1000.0, offset=0.3)
+    base = default_config()
+    assert count_all_crossings(spec, range(-15, 16), 0.0, 0.01, 2_000_000) == 560
+    short = []
+    for i in range(50):
+        trace = simulate(replace(base, clock_phase=i / 50 * base.t_clk), spec, 0.01)
+        if len(trace.events) != 560:
+            short.append((i, len(trace.events)))
+    assert short == []

@@ -3,8 +3,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcadc.signals import (
+    TIME_ABS_TOL,
+    TIME_REL_TOL,
     Constant,
     Direction,
     OutOfSpanError,
@@ -187,6 +191,33 @@ def test_exit_tangent_bottom_is_not_a_crossing():
     assert next_window_exit(spec, 0.0, 0.0, 1.0, 2.0) is None
 
 
+def test_exit_sine_boundary_start_moving_outward():
+    # sin(2*pi*t) starts on the top boundary heading up: it exits at once
+    got = next_window_exit(Sine(amplitude=1.0, frequency=1.0), 0.0, -1.0, 0.0, 2.0)
+    assert got is not None
+    t, direction = got
+    assert direction is Direction.UP
+    assert 0.0 < t <= TIME_ABS_TOL
+
+
+def test_exit_sine_zero_amplitude_never():
+    inside = Sine(amplitude=0.0, frequency=1.0, offset=0.5)
+    assert next_window_exit(inside, 0.0, 0.5, 1.0, 10.0) is None
+    above = Sine(amplitude=0.0, frequency=1.0, offset=2.0)
+    assert next_window_entry(above, 0.0, 0.0, 1.0, 10.0) is None
+
+
+def test_exit_sine_root_at_the_horizon():
+    # 200 periods end on an upward zero crossing; the crossing counts only
+    # when the signal already evaluates beyond the level at the horizon
+    spec = Sine(amplitude=16.0, frequency=1000.0)
+    assert evaluate(spec, 0.2) > 0.0
+    assert next_window_exit(spec, 0.2 - 1e-6, -1.0, 0.0, 0.2) == (0.2, Direction.UP)
+    unit = Sine(amplitude=1.0, frequency=1.0)
+    assert evaluate(unit, 1.0) < 0.0
+    assert next_window_exit(unit, 0.95, -0.5, 0.0, 1.0) is None
+
+
 def test_exit_monotone_under_window_shrink():
     rng = random.Random(7)
     for _ in range(40):
@@ -222,3 +253,62 @@ def test_entry_ramp_never_returns():
 
 def test_entry_already_inside_returns_start():
     assert next_window_entry(Constant(0.2), 1.0, 0.0, 1.0, 2.0) == 1.0
+
+
+def _tol(t):
+    return max(TIME_ABS_TOL, TIME_REL_TOL * abs(t))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    amplitude=st.floats(0.5, 20.0),
+    frequency=st.floats(1.0, 1e4),
+    phase=st.floats(0.0, 2 * math.pi, exclude_max=True),
+    offset=st.floats(-5.0, 5.0),
+    width=st.floats(0.01, 0.5),
+    eps=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+    period=st.integers(2, 50),
+    upward=st.booleans(),
+)
+def test_sine_shallow_excursion_exit_and_entry(
+    amplitude, frequency, phase, offset, width, eps, period, upward
+):
+    # a peak (or trough) passes one window boundary by eps*delta; the search
+    # starts half a window inside, heading for it, and the horizon is the
+    # mirror point on the far side of the extremum
+    spec = Sine(amplitude=amplitude, frequency=frequency, phase=phase, offset=offset)
+    delta = width * amplitude
+    omega = 2 * math.pi * frequency
+    turn = 2 * math.pi * period
+    sign = 1.0 if upward else -1.0
+    boundary = offset + sign * (amplitude - eps * delta)
+    lo, hi = (boundary - delta, boundary) if upward else (boundary, boundary + delta)
+    s_from = (boundary - sign * delta / 2 - offset) / amplitude
+    theta_from = (math.asin(s_from) if upward else math.pi - math.asin(s_from)) + turn
+    theta_ext = (0.5 if upward else 1.5) * math.pi + turn
+    t_from = (theta_from - phase) / omega
+    horizon = 2 * (theta_ext - phase) / omega - t_from
+
+    got = next_window_exit(spec, t_from, lo, hi, horizon)
+    if eps == 0.0:
+        assert got is None  # tangent: the extremum only touches the boundary
+        return
+    s = (boundary - offset) / amplitude
+    t_out = ((math.asin(s) if upward else math.pi - math.asin(s)) + turn - phase) / omega
+    theta_back = math.pi - math.asin(s) if upward else 2 * math.pi + math.asin(s)
+    t_back = (theta_back + turn - phase) / omega
+    assert got is not None
+    t, direction = got
+    assert direction is (Direction.UP if upward else Direction.DOWN)
+    v = evaluate(spec, t)
+    assert (v > hi) if upward else (v < lo)
+    assert abs(t - t_out) <= _tol(t_out)
+
+    t_in = next_window_entry(spec, t, lo, hi, horizon)
+    assert t_in is not None
+    assert lo < evaluate(spec, t_in) < hi
+    assert abs(t_in - t_back) <= _tol(t_back)
+
+    n_steps = 200_000
+    if t_back - t_out > 8 * (horizon - t_from) / n_steps:
+        assert count_level_crossings(spec, boundary, t_from, horizon, n_steps) == (1, 1)

@@ -55,11 +55,6 @@ def optimal_clock(amplitude: float, f_in: float, delta: float) -> float:
     return 4.0 * math.pi * f_in * amplitude / delta
 
 
-def knee_frequency(delta: float, t_clk: float, a_limit: float) -> float:
-    """Frequency where the tracking hyperbola meets the input-limit cap."""
-    return delta / (4.0 * math.pi * t_clk * a_limit)
-
-
 @dataclass(frozen=True)
 class BoundaryCurve:
     """Sampled (frequency, max trackable amplitude) curve for one clock.

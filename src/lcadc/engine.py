@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .signals import (
     Direction,
@@ -35,12 +34,6 @@ EDGE_TOLERANCE = 1e-12
 
 class ConfigError(ValueError):
     """Converter configuration rejected."""
-
-
-class Mode(Enum):
-    TRACKING = "tracking"
-    CONVERTING = "converting"
-    SATURATED = "saturated"
 
 
 @dataclass(frozen=True)
@@ -96,15 +89,6 @@ class AdcConfig:
             "clock_phase": self.clock_phase,
             "settle_time": self.settle_time,
         }
-
-
-@dataclass(frozen=True)
-class AdcState:
-    code: int
-    window_lo: float
-    window_hi: float
-    mode: Mode
-    now: float
 
 
 @dataclass(frozen=True)
@@ -194,8 +178,8 @@ def ack_time(t_req: float, clock_freq: float, clock_phase: float = 0.0) -> float
     return clock_phase + (first_after + 1) * t_clk
 
 
-def initial_state(config: AdcConfig, spec: SignalSpec) -> AdcState:
-    """Converter state at t=0: code floor-quantized from the input value.
+def initial_code(config: AdcConfig, spec: SignalSpec) -> int:
+    """Code at t=0, floor-quantized from the input value.
 
     The input must start inside [v_min, input_limit]; values exactly at the
     ceiling land in the top code.
@@ -207,9 +191,7 @@ def initial_state(config: AdcConfig, spec: SignalSpec) -> AdcState:
             f"[{config.v_min}, {config.input_limit}] V"
         )
     code = int(math.floor((v0 - config.v_min) / config.delta))
-    code = min(max(code, 0), config.level_count - 1)
-    lo, hi = config.window(code)
-    return AdcState(code=code, window_lo=lo, window_hi=hi, mode=Mode.TRACKING, now=0.0)
+    return min(max(code, 0), config.level_count - 1)
 
 
 def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
@@ -224,9 +206,8 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    state = initial_state(config, spec)
-    code = state.code
-    lo, hi = state.window_lo, state.window_hi
+    code = start_code = initial_code(config, spec)
+    lo, hi = config.window(code)
     top = config.level_count - 1
 
     events: list[CrossingEvent] = []
@@ -244,14 +225,13 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
         while True:
             step = 1 if direction is Direction.UP else -1
             if not 0 <= code + step <= top:
-                # range rail: window pinned, comparators stay on
-                t_back = next_window_entry(spec, t_req, lo, hi, t_end)
-                if t_back is None:
-                    saturation.append((t_req, t_end))
-                    now = t_end
-                else:
-                    saturation.append((t_req, t_back))
-                    now = t_back
+                # range rail: window pinned, comparators stay on; a rail
+                # crossing at t_end itself leaves nothing to search
+                t_back = None
+                if t_req < t_end:
+                    t_back = next_window_entry(spec, t_req, lo, hi, t_end)
+                now = t_end if t_back is None else t_back
+                saturation.append((t_req, now))
                 break
             t_ack = ack_time(t_req, config.clock_freq, config.clock_phase)
             t_on = t_ack + config.settle_time
@@ -287,7 +267,7 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
 
     return Trace(
         config=config,
-        initial_code=state.code,
+        initial_code=start_code,
         events=tuple(events),
         saturation=tuple(saturation),
         overload=overload,

@@ -1,12 +1,17 @@
 """Analog input waveforms: exact evaluation, slope bounds, and crossing search.
 
-Waveforms are small frozen dataclasses.  Crossings of a single sine are solved
-in closed form from ``asin``, so an excursion past a boundary is found however
-shallow it is; ramps and sampled waveforms are piecewise linear and solved in
-closed form too.  Only sums of sines, and the re-entry search of sampled
-waveforms, scan a fixed time grid whose pitch is derived from the waveform's
-slope bound (so no excursion wider than a fraction of the window can slip
-between grid points) and then bisect down to the time tolerance.
+Waveforms are small frozen dataclasses.  One search serves every waveform
+kind and both directions of travel: it finds the earliest traversal out of
+an interval.  A window exit leaves the window; a re-entry after range
+saturation is the exit from the half-line past the boundary the signal is
+on.  Sines, ramps and sampled (piecewise-linear) waveforms are solved in
+closed form, and every closed-form root goes through one confirm step, so
+all kinds follow one rule: the returned time is strictly beyond the level,
+and a root at the horizon counts only if the signal is already beyond
+there.  Only sums of sines scan a fixed time grid whose pitch is derived
+from the waveform's slope bound and the window width (so no excursion wider
+than a fraction of the window can slip between grid points) and then
+bisect down to the time tolerance.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ _PITCH_WINDOW_FRACTION = 0.25
 _PERIOD_DIVISIONS = 64
 
 _TWO_PI = 2.0 * math.pi
-# Step past a closed-form sine root, as a fraction of the time tolerance.
+# Step past a closed-form root, as a fraction of the time tolerance.
 _ROOT_STEP_FRACTION = 1.0 / 64.0
 
 
@@ -174,11 +179,8 @@ def _time_tol(t: float) -> float:
     return max(TIME_ABS_TOL, TIME_REL_TOL * abs(t))
 
 
-def _scan_pitch(spec: SumOfSines | Sampled, width: float) -> float:
-    pitch = math.inf
-    if isinstance(spec, SumOfSines):
-        period = 1.0 / max(f for _, f, _ in spec.tones)
-        pitch = period / _PERIOD_DIVISIONS
+def _scan_pitch(spec: SumOfSines, width: float) -> float:
+    pitch = 1.0 / max(f for _, f, _ in spec.tones) / _PERIOD_DIVISIONS
     slope = max_slope(spec)
     if slope > 0.0:
         pitch = min(pitch, _PITCH_WINDOW_FRACTION * width / slope)
@@ -209,12 +211,13 @@ def next_window_exit(
     The signal must start inside the window (boundary contact allowed);
     starting strictly outside raises WindowStartError, which is distinct from
     the no-exit result.  Grazing a boundary without traversal does not count
-    as an exit.  The returned time lies just past the true crossing, within
-    max(1e-12 s, 1e-9 relative), so the signal evaluates strictly beyond the
-    boundary there.
+    as an exit.  For every waveform kind the returned time lies just past the
+    true crossing, within max(1e-12 s, 1e-9 relative), and the signal
+    evaluates strictly beyond the boundary there; a crossing at the horizon
+    counts only if the signal is already beyond at the horizon.
 
-    Sines, ramps and sampled waveforms are solved in closed form.  Sums of
-    sines are scanned on a fixed grid and then bisected, so an excursion
+    Sines, ramps and sampled waveforms are solved in closed form.  Only sums
+    of sines are scanned on a fixed grid and then bisected, so an excursion
     that passes a boundary only briefly can fall between grid points.
     """
     if not lo < hi:
@@ -226,18 +229,64 @@ def next_window_exit(
         raise WindowStartError(
             f"signal is at {v0} V, outside [{lo}, {hi}] V, at t={t_from}"
         )
+    return _exit(spec, t_from, v0, lo, hi, horizon, hi - lo)
+
+
+def next_window_entry(
+    spec: SignalSpec, t_from: float, lo: float, hi: float, horizon: float
+) -> float | None:
+    """Earliest t in (t_from, horizon] where the signal is strictly inside
+    (lo, hi), or None.
+
+    Counterpart of next_window_exit used to recover from range saturation:
+    the signal starts on or beyond one boundary, and its re-entry is the
+    exit from the half-line past that boundary, found by the same search
+    and under the same rule.  The returned time lies just past the traversal
+    back across the boundary.  A signal already strictly inside is returned
+    immediately as ``t_from``.  Sines, ramps and sampled waveforms are
+    solved in closed form; sums of sines are scanned at the pitch of the
+    window itself, so no step can carry the signal across it.
+    """
+    if not lo < hi:
+        raise ValueError("window must satisfy lo < hi")
+    if not horizon > t_from:
+        raise ValueError("horizon must lie after t_from")
+    v0 = evaluate(spec, t_from)
+    if lo < v0 < hi:
+        return t_from
+    beyond_lo, beyond_hi = (hi, math.inf) if v0 >= hi else (-math.inf, lo)
+    found = _exit(spec, t_from, v0, beyond_lo, beyond_hi, horizon, hi - lo)
+    return None if found is None else found[0]
+
+
+def _exit(
+    spec: SignalSpec,
+    t_from: float,
+    v0: float,
+    lo: float,
+    hi: float,
+    horizon: float,
+    width: float,
+) -> tuple[float, Direction] | None:
+    """Earliest traversal out of [lo, hi] in (t_from, horizon] of a signal
+    that is at ``v0`` in that interval at ``t_from``, as (t, direction), or
+    None.  Either end may be infinite; ``width`` is the converter window
+    width, which sets the scan pitch."""
     if isinstance(spec, Constant):
         return None
     if isinstance(spec, Sine):
-        return _sine_traversal(
-            spec, t_from, horizon, ((hi, True, Direction.UP), (lo, False, Direction.DOWN))
-        )
+        return _sine_exit(spec, t_from, lo, hi, horizon)
     if isinstance(spec, Ramp):
-        return _ramp_exit(spec, t_from, v0, lo, hi, horizon)
+        if spec.slope == 0.0:
+            return None
+        rising = spec.slope > 0.0
+        level = hi if rising else lo
+        t_root = t_from + (level - v0) / spec.slope
+        return _confirm(spec, t_from, t_root, horizon, level, rising)
     if isinstance(spec, Sampled):
         return _sampled_exit(spec, t_from, v0, lo, hi, horizon)
 
-    pitch = _scan_pitch(spec, hi - lo)
+    pitch = _scan_pitch(spec, width)
     t_prev = t_from
     k = 1
     while True:
@@ -255,30 +304,26 @@ def next_window_exit(
         k += 1
 
 
-def _sine_traversal(
-    spec: Sine,
-    t_from: float,
-    horizon: float,
-    traversals: tuple[tuple[float, bool, Direction | None], ...],
-) -> tuple[float, Direction | None] | None:
-    """Earliest of ``traversals`` of a sine in (t_from, horizon], solved in
-    closed form, as (t, tag), or None.
+def _sine_exit(
+    spec: Sine, t_from: float, lo: float, hi: float, horizon: float
+) -> tuple[float, Direction] | None:
+    """Earliest upward traversal of ``hi`` or downward traversal of ``lo``
+    by a sine in (t_from, horizon], solved in closed form.
 
-    Each traversal is (level, rising, tag): the signal crosses ``level``
-    upward when ``rising`` and downward otherwise.  With s = (level -
-    offset)/amplitude, the signal lies strictly beyond the level on phase
-    intervals of half-width pi/2 - asin(s) around pi/2 (upward) or pi/2 +
-    asin(s) around -pi/2 (downward), plus 2*pi*k.  A level the extremum only
-    touches (s >= 1 upward, s <= -1 downward) is never traversed.  The first
-    interval whose extremum lies after t_from gives the root; a root at or
-    before t_from is a start on the boundary moving outward.
+    With s = (level - offset)/amplitude, the signal lies strictly beyond the
+    level on phase intervals of half-width pi/2 - asin(s) around pi/2
+    (upward) or pi/2 + asin(s) around -pi/2 (downward), plus 2*pi*k.  A level
+    the extremum only touches (s >= 1 upward, s <= -1 downward), or an
+    infinite one, is never traversed.  The first interval whose extremum
+    lies after t_from gives the root; a root at or before t_from is a start
+    on the boundary moving outward.
     """
     if spec.amplitude == 0.0:
         return None
     omega = 2.0 * math.pi * spec.frequency
     theta0 = omega * t_from + spec.phase
     roots = []
-    for level, rising, tag in traversals:
+    for level, rising in ((hi, True), (lo, False)):
         s = (level - spec.offset) / spec.amplitude
         if rising:
             if s >= 1.0:
@@ -292,162 +337,74 @@ def _sine_traversal(
         t_peak = (center + _TWO_PI * k - spec.phase) / omega
         if t_peak <= t_from:  # rounding put t_from on the extremum itself
             t_peak += _TWO_PI / omega
-        roots.append((t_peak - half / omega, t_peak, level, rising, tag))
-    for t_root, t_peak, level, rising, tag in sorted(roots, key=lambda r: r[0]):
-        t = _sine_beyond(spec, t_from, t_root, t_peak, level, rising, horizon)
-        if t is not None:
-            return t, tag
+        roots.append((t_peak - half / omega, t_peak, level, rising))
+    for t_root, t_peak, level, rising in sorted(roots, key=lambda r: r[0]):
+        found = _confirm(spec, t_from, t_root, min(t_peak, horizon), level, rising)
+        if found is not None:
+            return found
     return None
-
-
-def _sine_beyond(
-    spec: Sine,
-    t_from: float,
-    t_root: float,
-    t_peak: float,
-    level: float,
-    rising: bool,
-    horizon: float,
-) -> float | None:
-    """Time just past ``t_root`` where the signal evaluates strictly beyond
-    ``level``, no later than the excursion's extremum ``t_peak`` or
-    ``horizon``; None if the excursion never shows beyond the level in
-    floating point (a tangent) or starts after ``horizon``.
-
-    The root is accurate to a few ulps unless the crossing is nearly
-    tangent, so the first candidate is a small fraction of ``_time_tol``
-    past it (past ``t_from`` for a start on the boundary moving outward).
-    Past the horizon only the horizon itself is tried, as the scan does.  A
-    crossing too shallow to show that soon is bisected against the extremum.
-    """
-
-    def beyond(t: float) -> bool:
-        v = evaluate(spec, t)
-        return v > level if rising else v < level
-
-    t_last = min(t_peak, horizon)
-    t = max(t_root, t_from)
-    t = min(t + _time_tol(t) * _ROOT_STEP_FRACTION, t_last)
-    if beyond(t):
-        return t
-    if t < t_last and beyond(t_last):
-        return _bisect_beyond(spec, t, t_last, level, rising)
-    return None
-
-
-def _ramp_exit(
-    spec: Ramp, t_from: float, v0: float, lo: float, hi: float, horizon: float
-) -> tuple[float, Direction] | None:
-    if spec.slope == 0.0:
-        return None
-    if spec.slope > 0.0:
-        target, direction = hi, Direction.UP
-    else:
-        target, direction = lo, Direction.DOWN
-    t_hit = t_from + (target - v0) / spec.slope
-    if t_hit <= t_from:
-        # started on the boundary moving outward
-        t_hit = t_from + _time_tol(t_from)
-    if t_hit > horizon:
-        return None
-    return t_hit, direction
 
 
 def _sampled_exit(
     spec: Sampled, t_from: float, v0: float, lo: float, hi: float, horizon: float
 ) -> tuple[float, Direction] | None:
+    """Walk the linear segments up to ``horizon``; the first segment that
+    ends beyond a level holds the root, with the segment end as its bound."""
     if horizon > spec.span + TIME_ABS_TOL:
         raise OutOfSpanError(
             f"horizon {horizon} beyond sampled span [0, {spec.span}]"
         )
     dt = spec.sample_period
     n_seg = len(spec.values) - 1
-    j = min(int(t_from / dt), n_seg - 1)
     t_a, v_a = t_from, v0
-    while j < n_seg:
+    for j in range(min(int(t_from / dt), n_seg - 1), n_seg):
         t_b = min((j + 1) * dt, horizon)
         if t_b <= t_a:
-            j += 1
             continue
         v_b = evaluate(spec, t_b)
-        crossed: tuple[float, Direction] | None = None
-        if v_b > hi:
-            seg_slope = (v_b - v_a) / (t_b - t_a)
-            crossed = (t_a + (hi - v_a) / seg_slope, Direction.UP)
-        elif v_b < lo:
-            seg_slope = (v_b - v_a) / (t_b - t_a)
-            crossed = (t_a + (lo - v_a) / seg_slope, Direction.DOWN)
-        if crossed is not None:
-            t_hit, direction = crossed
-            if t_hit <= t_from:
-                t_hit = t_from + _time_tol(t_from)
-            if t_hit > horizon:
-                return None
-            return t_hit, direction
+        if v_b > hi or v_b < lo:
+            rising = v_b > hi
+            level = hi if rising else lo
+            t_root = t_a + (level - v_a) / ((v_b - v_a) / (t_b - t_a))
+            return _confirm(spec, t_from, t_root, t_b, level, rising)
         if t_b >= horizon:
             return None
         t_a, v_a = t_b, v_b
-        j += 1
     return None
 
 
-def next_window_entry(
-    spec: SignalSpec, t_from: float, lo: float, hi: float, horizon: float
-) -> float | None:
-    """Earliest t in (t_from, horizon] where the signal is strictly inside
-    (lo, hi), or None.
+def _confirm(
+    spec: SignalSpec,
+    t_from: float,
+    t_root: float,
+    t_last: float,
+    level: float,
+    rising: bool,
+) -> tuple[float, Direction] | None:
+    """Time just past the closed-form root ``t_root`` where the signal
+    evaluates strictly beyond ``level``, with the traversal's direction;
+    None if the signal does not show beyond the level by ``t_last``.
 
-    Counterpart of next_window_exit used to recover from range saturation:
-    the signal starts on or beyond one boundary and the returned time lies
-    just past its traversal back inside.  A signal already strictly inside
-    is returned immediately as ``t_from``.  Sines and ramps are solved in
-    closed form; sums of sines and sampled waveforms are scanned and bisected.
+    ``t_last`` is the horizon, or the end of the piece the root belongs to
+    if that comes first: a sine's extremum or a sampled segment's end.  The
+    root is accurate to a few ulps unless the crossing is nearly tangent, so
+    the first candidate is a small fraction of ``_time_tol`` past it (past
+    ``t_from`` for a start on the boundary moving outward), clipped to
+    ``t_last``.  A root at or past the horizon therefore counts only if the
+    signal is already beyond at the horizon.  A crossing too shallow to show
+    that soon is bisected against ``t_last``; if even ``t_last`` is not
+    beyond, the excursion is a tangent in floating point.
     """
-    if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
-    if not horizon > t_from:
-        raise ValueError("horizon must lie after t_from")
-    v0 = evaluate(spec, t_from)
-    if lo < v0 < hi:
-        return t_from
-    from_above = v0 >= hi
-    boundary = hi if from_above else lo
 
-    if isinstance(spec, Constant):
-        return None
-    if isinstance(spec, Sine):
-        found = _sine_traversal(spec, t_from, horizon, ((boundary, not from_above, None),))
-        return None if found is None else found[0]
-    if isinstance(spec, Ramp):
-        if spec.slope == 0.0:
-            return None
-        moving_in = (spec.slope < 0.0) if from_above else (spec.slope > 0.0)
-        if not moving_in:
-            return None
-        t_hit = t_from + (boundary - v0) / spec.slope
-        t_in = max(t_hit, t_from) + _time_tol(max(t_hit, t_from))
-        if t_in > horizon:
-            return None
-        return t_in
+    def beyond(t: float) -> bool:
+        v = evaluate(spec, t)
+        return v > level if rising else v < level
 
-    pitch = _scan_pitch(spec, hi - lo)
-    if not math.isfinite(pitch):
-        return None
-    if isinstance(spec, Sampled) and horizon > spec.span + TIME_ABS_TOL:
-        raise OutOfSpanError(
-            f"horizon {horizon} beyond sampled span [0, {spec.span}]"
-        )
-    t_prev = t_from
-    k = 1
-    while True:
-        t_k = t_from + k * pitch
-        if t_k >= horizon:
-            t_k = horizon
-        v = evaluate(spec, t_k)
-        if lo < v < hi:
-            # bisect the boundary traversal; the inside endpoint is returned
-            return _bisect_beyond(spec, t_prev, t_k, boundary, not from_above)
-        if t_k >= horizon:
-            return None
-        t_prev = t_k
-        k += 1
+    direction = Direction.UP if rising else Direction.DOWN
+    t = max(t_root, t_from)
+    t = min(t + _time_tol(t) * _ROOT_STEP_FRACTION, t_last)
+    if beyond(t):
+        return t, direction
+    if t < t_last and beyond(t_last):
+        return _bisect_beyond(spec, t, t_last, level, rising), direction
+    return None

@@ -124,7 +124,7 @@ def reference_simulate(config, spec, t_end, step):
     the engine but is written against the grid.
     """
     n = int(math.ceil(t_end / step))
-    t_grid = np.arange(n + 1) * step
+    t_grid = np.minimum(np.arange(n + 1) * step, t_end)
     v = eval_grid(spec, t_grid)
 
     v0 = float(v[0])

@@ -15,7 +15,6 @@ import pytest
 
 from lcadc.analysis import (
     boundary_curve,
-    knee_frequency,
     max_frequency,
     monte_carlo_off_time,
     off_fraction_analytic,
@@ -218,7 +217,7 @@ def test_criterion_07_figure_shapes():
         assert rel <= 0.05, f"off fraction at f={row.x:.1f} deviates {rel:.4f}"
 
     a_limit = FULL_SCALE_AMPLITUDE
-    knee = knee_frequency(DELTA, CONFIG.t_clk, a_limit)
+    knee = max_frequency(a_limit, DELTA, CONFIG.t_clk)
     fgrid = [knee / 10, knee / 2, knee, 2 * knee, 10 * knee]
     curve = boundary_curve(CONFIG.clock_freq, DELTA, a_limit, fgrid)
     pts = dict(curve.points)

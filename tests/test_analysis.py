@@ -7,7 +7,6 @@ import pytest
 
 from lcadc.analysis import (
     boundary_curve,
-    knee_frequency,
     max_frequency,
     monte_carlo_off_time,
     off_fraction_analytic,
@@ -68,7 +67,7 @@ def test_optimal_clock_and_max_frequency_are_inverse():
 def test_boundary_curve_cap_knee_and_branch():
     clock = 201000.0
     delta, a_limit = 1.0, 16.0
-    knee = knee_frequency(delta, 1.0 / clock, a_limit)
+    knee = max_frequency(a_limit, delta, 1.0 / clock)
     grid = [knee / 100, knee / 10, knee, 10 * knee, 20 * knee, 40 * knee]
     curve = boundary_curve(clock, delta, a_limit, grid)
     assert curve.a_limit == a_limit

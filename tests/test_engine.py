@@ -4,18 +4,18 @@ from dataclasses import replace
 
 import pytest
 
+from lcadc import signals
 from lcadc.engine import (
     AdcConfig,
     ConfigError,
-    Mode,
     ack_time,
-    initial_state,
+    initial_code,
     reconstruct,
     simulate,
     tracking_error,
 )
 from lcadc.analysis import max_frequency
-from lcadc.signals import Constant, Direction, Ramp, Sine
+from lcadc.signals import Constant, Direction, Ramp, Sampled, Sine, SumOfSines
 from tests.reference import count_all_crossings, reference_simulate
 
 
@@ -65,23 +65,22 @@ def test_ack_interval_bounds_random():
 
 def test_initial_state_floor_rule():
     cfg = AdcConfig(delta=1.0, level_count=32, v_min=0.0, clock_freq=1000.0)
-    st = initial_state(cfg, Constant(5.3))
-    assert st.code == 5
-    assert (st.window_lo, st.window_hi) == (5.0, 6.0)
-    assert st.mode is Mode.TRACKING and st.now == 0.0
+    code = initial_code(cfg, Constant(5.3))
+    assert code == 5
+    assert cfg.window(code) == (5.0, 6.0)
 
 
 def test_initial_state_edges():
     cfg = AdcConfig(delta=1.0, level_count=32, v_min=0.0, clock_freq=1000.0)
-    assert initial_state(cfg, Constant(0.0)).code == 0
-    assert initial_state(cfg, Constant(31.999)).code == 31
-    assert initial_state(cfg, Constant(32.0)).code == 31  # ceiling lands on top
+    assert initial_code(cfg, Constant(0.0)) == 0
+    assert initial_code(cfg, Constant(31.999)) == 31
+    assert initial_code(cfg, Constant(32.0)) == 31  # ceiling lands on top
 
 
 def test_initial_state_out_of_range():
     cfg = AdcConfig(delta=1.0, level_count=32, v_min=0.0, clock_freq=1000.0)
     with pytest.raises(ConfigError):
-        initial_state(cfg, Constant(33.0))
+        initial_code(cfg, Constant(33.0))
 
 
 def test_config_validation():
@@ -356,3 +355,71 @@ def test_shallow_peak_served_at_every_clock_phase():
         if len(trace.events) != 560:
             short.append((i, len(trace.events)))
     assert short == []
+
+
+@pytest.mark.parametrize(
+    "spec, t_end, step",
+    [
+        # reaches the 4 V rail at 2.43 s and never returns
+        (Ramp(start=2.171474608930848, slope=0.7519956499210796), 10.0, 1e-5),
+        # pinned at the bottom rail from 0.193 s, at the top from 0.396 s
+        (Sampled(sample_period=0.1, values=(0.5, 2.7, -0.2, -1.0, 4.2)), 0.4, 1e-6),
+    ],
+)
+def test_piecewise_linear_saturation_matches_reference(spec, t_end, step):
+    # an exit time on the boundary rather than beyond it would re-enter at
+    # once and record a zero-length interval the reference never sees
+    cfg = AdcConfig(delta=1.0, level_count=4, v_min=0.0, clock_freq=1e3)
+    tr = simulate(cfg, spec, t_end)
+    ref = reference_simulate(cfg, spec, t_end, step)
+    assert len(tr.events) == len(ref.events)
+    assert len(tr.saturation) == len(ref.saturation)
+    for (a0, a1), (b0, b1) in zip(tr.saturation, ref.saturation):
+        assert a0 < a1
+        assert abs(a0 - b0) <= 2 * step and abs(a1 - b1) <= 2 * step
+
+
+def test_rail_crossing_at_span_end_is_recorded():
+    # the input crosses into the top rail on the last instant of the span:
+    # the saturation interval is (t_end, t_end), not a search past t_end
+    cfg = AdcConfig(delta=1.0, level_count=4, v_min=0.0, clock_freq=201e3)
+    at_end = 0
+    for k in range(1, 400):
+        t_end = k / 1000
+        tr = simulate(cfg, Sine(amplitude=0.5, frequency=1000.0, offset=4.0), t_end)
+        assert len(tr.saturation) in (k, k + 1)
+        assert all(0.0 < t0 <= t1 <= t_end for t0, t1 in tr.saturation)
+        if len(tr.saturation) == k + 1:
+            assert tr.saturation[-1] == (t_end, t_end)
+            at_end += 1
+    assert at_end > 0
+    for k in range(1, 400):
+        t_end = 3.5 / k
+        tr = simulate(cfg, Ramp(start=0.5, slope=float(k)), t_end)
+        assert [e.code_after for e in tr.events] == [1, 2, 3]
+        assert tr.saturation in ((), ((t_end, t_end),))
+
+
+def _search_evaluate_calls(monkeypatch, spec, t_end):
+    calls = 0
+    real = signals.evaluate
+
+    def counting(s, t):
+        nonlocal calls
+        calls += 1
+        return real(s, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(signals, "evaluate", counting)
+        trace = simulate(default_config(), spec, t_end)
+    return trace, calls
+
+
+def test_search_work_is_pinned(monkeypatch):
+    # exact evaluate counts inside the crossing search at the stock
+    # converter; a search that does different work changes them
+    spec = SumOfSines(tones=((10.0, 1000.0, 0.0), (7.0, 2300.0, 0.4)))
+    trace, calls = _search_evaluate_calls(monkeypatch, spec, 0.01)
+    assert (len(trace.events), len(trace.saturation), calls) == (686, 7, 9210)
+    trace, calls = _search_evaluate_calls(monkeypatch, Sine(16.0, 1000.0), 0.01)
+    assert (len(trace.events), len(trace.saturation), calls) == (619, 0, 1241)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,14 +136,16 @@ def test_exit_sampled_closed_form():
     assert got is not None
     t, direction = got
     assert direction is Direction.UP
-    assert t == pytest.approx(0.5, abs=1e-12)
+    assert 0.5 < t <= 0.5 + max(1e-12, 1e-9 * 0.5)
+    assert evaluate(spec, t) > 1.0
     # starting past the first crossing finds the downward one; the second
     # segment falls from 1.0 at t=1.25 with slope -4, reaching -1.5 at 1.875
     got = next_window_exit(spec, 1.25, -1.5, 2.5, 2.0)
     assert got is not None
     t, direction = got
     assert direction is Direction.DOWN
-    assert t == pytest.approx(1.875, abs=1e-12)
+    assert 1.875 < t <= 1.875 + max(1e-12, 1e-9 * 1.875)
+    assert evaluate(spec, t) < -1.5
 
 
 def test_exit_sampled_horizon_beyond_span():
@@ -312,3 +315,142 @@ def test_sine_shallow_excursion_exit_and_entry(
     n_steps = 200_000
     if t_back - t_out > 8 * (horizon - t_from) / n_steps:
         assert count_level_crossings(spec, boundary, t_from, horizon, n_steps) == (1, 1)
+
+
+def _beyond(v, level, rising):
+    return v > level if rising else v < level
+
+
+def _check_linear_exit(spec, t_from, lo, hi, horizon, root, rising, slope):
+    """One rule for every closed-form root: the exit is strictly beyond the
+    level, not before the exact root ``root`` and within _tol past it; it is
+    None when the root lies past the horizon and the signal is not yet
+    beyond there.  ``res`` is the time the signal needs to move a few ulps
+    at the level, within which evaluate cannot tell it from the level."""
+    level = hi if rising else lo
+    got = next_window_exit(spec, t_from, lo, hi, horizon)
+    if root > horizon and not _beyond(evaluate(spec, horizon), level, rising):
+        assert got is None
+    if got is None:
+        assert root > horizon - _tol(horizon)
+        return
+    t, direction = got
+    assert direction is (Direction.UP if rising else Direction.DOWN)
+    assert t_from < t <= horizon
+    assert _beyond(evaluate(spec, t), level, rising)
+    res = Fraction(4 * (math.ulp(max(abs(level), 1.0)) / abs(slope) + math.ulp(t)))
+    assert root - res <= Fraction(t) <= root + Fraction(_tol(t)) + res
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(-4.0, 4.0),
+    slope=st.floats(1.0, 1e4),
+    rising=st.booleans(),
+    t_from=st.floats(0.0, 2.0),
+    gaps=st.tuples(st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
+    stretch=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+)
+def test_ramp_exit_single_rule(start, slope, rising, t_from, gaps, stretch):
+    # stretch 1.0 puts the horizon on the root itself
+    spec = Ramp(start=start, slope=slope if rising else -slope)
+    v0 = evaluate(spec, t_from)
+    lo, hi = v0 - gaps[0], v0 + gaps[1]
+    level = hi if rising else lo
+    root = (Fraction(level) - Fraction(start)) / Fraction(spec.slope)
+    horizon = t_from + (float(root) - t_from) * stretch
+    _check_linear_exit(spec, t_from, lo, hi, horizon, root, rising, slope)
+
+
+def _first_linear_root(spec, t_from, lo, hi):
+    """Exact first traversal of lo or hi by the interpolated samples after
+    t_from, as (root, rising, segment slope), or None."""
+    dt = Fraction(spec.sample_period)
+    vals = [Fraction(v) for v in spec.values]
+
+    def value(t):
+        j = min(int(t / dt), len(vals) - 2)
+        return vals[j] + (vals[j + 1] - vals[j]) * (t / dt - j)
+
+    t_a = Fraction(t_from)
+    for j in range(int(t_a / dt), len(vals) - 1):
+        t_b = (j + 1) * dt
+        if t_b <= t_a:
+            continue
+        v_a, v_b = value(t_a), value(t_b)
+        for level, rising in ((Fraction(hi), True), (Fraction(lo), False)):
+            if (v_b > level) if rising else (v_b < level):
+                slope = (v_b - v_a) / (t_b - t_a)
+                return t_a + (level - v_a) / slope, rising, float(slope)
+        t_a = t_b
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    period=st.sampled_from([1e-3, 0.1, 0.25, 1.0]),
+    eighths=st.lists(st.integers(-32, 32), min_size=3, max_size=8),
+    start=st.floats(0.0, 1.0, exclude_max=True),
+    gaps=st.tuples(st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
+    stretch=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+)
+def test_sampled_exit_single_rule(period, eighths, start, gaps, stretch):
+    spec = Sampled(sample_period=period, values=tuple(v / 8 for v in eighths))
+    t_from = start * spec.span
+    v0 = evaluate(spec, t_from)
+    lo, hi = v0 - gaps[0], v0 + gaps[1]
+    found = _first_linear_root(spec, t_from, lo, hi)
+    if found is None:
+        assert next_window_exit(spec, t_from, lo, hi, spec.span) is None
+        return
+    root, rising, slope = found
+    horizon = min(t_from + (float(root) - t_from) * stretch, spec.span)
+    if horizon > t_from:
+        _check_linear_exit(spec, t_from, lo, hi, horizon, root, rising, slope)
+
+
+def test_exit_ramp_boundary_start_moving_outward():
+    spec = Ramp(start=1.0, slope=2.0)
+    got = next_window_exit(spec, 0.0, 0.0, 1.0, 5.0)
+    assert got is not None
+    t, direction = got
+    assert direction is Direction.UP
+    assert 0.0 < t <= TIME_ABS_TOL
+    assert evaluate(spec, t) > 1.0
+
+
+def test_entry_sampled_closed_form():
+    # from above: 4.2 at t=0.2 falls to 3.0 at t=0.3, crossing 4 at 0.2 + 1/60
+    above = Sampled(sample_period=0.1, values=(5.0, 5.5, 4.2, 3.0, 2.0))
+    t = next_window_entry(above, 0.0, 3.0, 4.0, 0.4)
+    root = 0.2 + 0.1 / 6.0
+    assert t is not None and root < t <= root + _tol(root)
+    assert 3.0 < evaluate(above, t) < 4.0
+    # from below: 2.5 at t=0.1 rises to 3.5 at t=0.2, crossing 3 at 0.15
+    below = Sampled(sample_period=0.1, values=(1.0, 2.5, 3.5))
+    t = next_window_entry(below, 0.0, 3.0, 4.0, 0.2)
+    assert t is not None and 0.15 < t <= 0.15 + _tol(0.15)
+    assert 3.0 < evaluate(below, t) < 4.0
+    # the return lies past the horizon, and a span overrun is still an error
+    assert next_window_entry(above, 0.0, 3.0, 4.0, 0.2) is None
+    with pytest.raises(OutOfSpanError):
+        next_window_entry(above, 0.0, 3.0, 4.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi, from_above", [(6.0, 7.0, True), (-6.0, -5.0, False)])
+def test_entry_sum_of_sines_against_dense_grid(lo, hi, from_above):
+    spec = SumOfSines(tones=((6.0, 110.0, 0.3), (2.5, 290.0, 1.1)), offset=0.5)
+    t_end = 3 / 110.0
+    tt = np.linspace(0.0, t_end, 200_001)
+    vv = eval_grid(spec, tt)
+    t_from = float(tt[np.argmax(vv > hi if from_above else vv < lo)])
+    t_in = next_window_entry(spec, t_from, lo, hi, t_end)
+    assert t_in is not None
+    assert lo < evaluate(spec, t_in) < hi
+    # up to t_in the signal traverses its boundary once, back inside; just
+    # before t_in it is still on the far side
+    boundary = hi if from_above else lo
+    crossings = count_level_crossings(spec, boundary, t_from, t_in, 200_000)
+    assert crossings == ((0, 1) if from_above else (1, 0))
+    back = evaluate(spec, t_in - 2 * _tol(t_in))
+    assert back >= hi if from_above else back <= lo

@@ -26,6 +26,9 @@ from .signals import SignalSpec, Sine
 
 SWEEP_KINDS = ("clock", "frequency", "amplitude")
 
+# histogram bins of the off-duration support [T, 2T) in OffTimeStats
+OFF_TIME_BINS = 10
+
 SWEEP_COLUMNS = (
     "x",
     "off_fraction_sim",
@@ -82,9 +85,7 @@ def boundary_curve(
     if any(f <= 0 for f in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("f_grid must be positive and strictly ascending")
     t_clk = 1.0 / clock_freq
-    points = tuple(
-        (f, min(a_limit, delta / (4.0 * math.pi * t_clk * f))) for f in grid
-    )
+    points = tuple((f, min(a_limit, max_frequency(f, delta, t_clk))) for f in grid)
     return BoundaryCurve(clock_freq=clock_freq, points=points, a_limit=a_limit)
 
 
@@ -132,10 +133,13 @@ class OffTimeStats:
         }
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    # per-trial stream derived from (master seed, index): results do not
-    # depend on execution order
-    return np.random.default_rng([seed, index])
+def trial_phase(seed: int, index: int, t_clk: float) -> float:
+    """Clock phase of trial ``index``, uniform on [0, t_clk).
+
+    Each trial draws from its own stream seeded with (seed, index), so a
+    trial's phase does not depend on how many trials run or in what order.
+    """
+    return float(np.random.default_rng([seed, index]).uniform(0.0, t_clk))
 
 
 def monte_carlo_off_time(
@@ -144,16 +148,15 @@ def monte_carlo_off_time(
     t_end: float,
     trials: int,
     seed: int,
-    bins: int = 10,
 ) -> OffTimeStats:
-    """Simulate ``trials`` times with the clock phase drawn uniformly from
-    [0, t_clk) per trial, and aggregate every event's off duration."""
+    """Simulate ``trials`` times at each trial's ``trial_phase`` and aggregate
+    every event's off duration into an OFF_TIME_BINS-bin histogram."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t_clk = config.t_clk
     offs: list[float] = []
     for i in range(trials):
-        phase = float(_trial_rng(seed, i).uniform(0.0, t_clk))
+        phase = trial_phase(seed, i, t_clk)
         trace = simulate(replace(config, clock_phase=phase), spec, t_end)
         offs.extend(ev.off_duration for ev in trace.events)
     lo = t_clk + config.settle_time
@@ -162,12 +165,12 @@ def monte_carlo_off_time(
         arr = np.asarray(offs)
         mean = float(arr.mean())
         std = float(arr.std())
-        counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(arr, bins=OFF_TIME_BINS, range=(lo, hi))
     else:
         mean = math.nan
         std = math.nan
-        counts = np.zeros(bins, dtype=int)
-        edges = np.linspace(lo, hi, bins + 1)
+        counts = np.zeros(OFF_TIME_BINS, dtype=int)
+        edges = np.linspace(lo, hi, OFF_TIME_BINS + 1)
     return OffTimeStats(
         trials=trials,
         n_events=len(offs),
@@ -191,9 +194,9 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    kind: str
+    """Sweep rows plus ``meta``: the kind, seed, grid and inputs that made them."""
+
     rows: tuple[SweepRow, ...]
-    seed: int
     meta: dict
 
     def to_csv(self) -> str:
@@ -223,14 +226,14 @@ def sweep(
     params: PowerParams,
     seed: int,
     periods: float = 100.0,
-    t_end: float | None = None,
 ) -> SweepResult:
-    """One simulate+measure per grid point with a seeded random clock phase.
+    """One simulate+measure per grid point at that point's ``trial_phase``.
 
     kind selects the swept quantity: the clock frequency, the sine frequency
     or the sine amplitude; the other two stay at their configured values.
-    Points past the tracking limit carry empty analytic columns.  The span
-    per point is ``periods`` input periods unless ``t_end`` pins it.
+    The span per point is ``periods`` input periods.  Points outside the
+    analytic model's domain (past the tracking limit) carry empty analytic
+    columns.
     """
     if kind not in SWEEP_KINDS:
         raise ValueError(f"kind must be one of {SWEEP_KINDS}")
@@ -250,15 +253,10 @@ def sweep(
             sine = replace(signal, frequency=x)
         else:
             sine = replace(signal, amplitude=x)
-        phase = float(_trial_rng(seed, i).uniform(0.0, cfg.t_clk))
-        cfg = replace(cfg, clock_phase=phase)
-        span = t_end if t_end is not None else periods / sine.frequency
-        trace = simulate(cfg, sine, span)
+        cfg = replace(cfg, clock_phase=trial_phase(seed, i, cfg.t_clk))
+        trace = simulate(cfg, sine, periods / sine.frequency)
         report = measure(trace, params)
-        inside = sine.frequency <= max_frequency(
-            sine.amplitude, cfg.delta, cfg.t_clk
-        ) * (1.0 + 1e-12)
-        if inside:
+        try:
             off_an = off_fraction_analytic(
                 sine.amplitude, sine.frequency, cfg.delta, cfg.t_clk
             )
@@ -267,7 +265,7 @@ def sweep(
                 crossing_rate_sine(sine.amplitude, sine.frequency, cfg.delta),
                 cfg.t_clk,
             )
-        else:
+        except ModelDomainError:
             off_an = None
             p_an = None
         rows.append(
@@ -288,7 +286,6 @@ def sweep(
         "seed": seed,
         "grid": list(grid),
         "periods": periods,
-        "t_end": t_end,
         "config": config.to_json_dict(),
         "signal": {
             "type": "sine",
@@ -304,4 +301,4 @@ def sweep(
         },
         "version": f"lcadc {__version__}",
     }
-    return SweepResult(kind=kind, rows=tuple(rows), seed=seed, meta=meta)
+    return SweepResult(rows=tuple(rows), meta=meta)

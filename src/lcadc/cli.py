@@ -22,6 +22,7 @@ from .analysis import (
     max_frequency,
     monte_carlo_off_time,
     sweep,
+    trial_phase,
 )
 from .engine import ConfigError, simulate
 from .power import ModelDomainError, measure
@@ -83,8 +84,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
         run = replace(run, seed=args.seed)
     if args.out is not None:
         run = replace(run, out=args.out)
-    if getattr(args, "format", None):
-        run = replace(run, out_format=args.format)
     return run
 
 
@@ -148,12 +147,12 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     if not clocks:
         raise ConfigFileError("at least one clock frequency is required")
     a_limit = run.adc.level_count * run.adc.delta / 2.0
+    fixed_grid = _parse_grid(args.grid) if args.grid else None
     written = []
     meta_curves = []
     for clk in clocks:
-        if args.grid:
-            grid = _parse_grid(args.grid)
-        else:
+        grid = fixed_grid
+        if grid is None:
             knee = max_frequency(a_limit, run.adc.delta, 1.0 / clk)
             grid = _parse_grid(f"{knee / 100.0}:{knee * 100.0}:61:log")
         curve = boundary_curve(clk, run.adc.delta, a_limit, grid)
@@ -179,18 +178,19 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     run = _load(args)
     if not isinstance(run.signal, Sine):
         raise ConfigFileError("table1 requires signal.type = sine", key="signal.type")
-    stats = monte_carlo_off_time(
-        run.adc, run.signal, run.t_end, trials=run.trials, seed=run.seed
-    )
+    # measure() pooled over the trials: every trial spans the same t_end
+    t_off = energy = 0.0
+    for i in range(run.trials):
+        phase = trial_phase(run.seed, i, run.adc.t_clk)
+        trace = simulate(replace(run.adc, clock_phase=phase), run.signal, run.t_end)
+        report = measure(trace, run.power)
+        t_off += report.t_off
+        energy += report.energy
     total_span = run.t_end * run.trials
-    off_fraction = (
-        stats.n_events * stats.mean / total_span if stats.n_events else 0.0
-    )
+    off_fraction = t_off / total_span
+    p_avg = energy / total_span
     p_on = run.power.p_on
     p_off = run.power.p_off
-    p_avg = p_on * (1.0 - off_fraction) + p_off * off_fraction
-    if run.power.e_event:
-        p_avg += run.power.e_event * stats.n_events / total_span
     reduction = 1.0 - p_avg / p_on
     bandwidth = max_frequency(run.signal.amplitude, run.adc.delta, run.adc.t_clk)
     rows = {
@@ -204,7 +204,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         "trials": run.trials,
         "seed": run.seed,
     }
-    if run.out_format == "markdown":
+    if (args.format or run.out_format) == "markdown":
         lines = ["| parameter | value |", "| --- | --- |"]
         lines.append(f"| on power (W) | {p_on:.4g} |")
         lines.append(f"| gated power (W) | {p_off:.4g} |")
@@ -245,10 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="run configuration file")
     common.add_argument("--seed", type=int, help="override run.seed")
     common.add_argument("--out", help="output directory (default from run.out)")
-    common.add_argument(
-        "--format", choices=("json", "csv", "markdown"), help="override run.format"
-    )
-    common.add_argument(
+    overload = argparse.ArgumentParser(add_help=False)
+    overload.add_argument(
         "--fail-on-overload",
         action="store_true",
         help="exit 3 if the simulation sets the overload flag",
@@ -261,10 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"lcadc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="run one conversion and report power")
+    p = sub.add_parser("simulate", parents=[common, overload], help="run one conversion and report power")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", parents=[common], help="sweep one parameter, emit CSV")
+    p = sub.add_parser("sweep", parents=[common, overload], help="sweep one parameter, emit CSV")
     p.add_argument("kind", choices=SWEEP_KINDS)
     p.add_argument("--grid", required=True, help="start:stop:count[:log]")
     p.add_argument("--periods", type=float, default=100.0, help="input periods per point")
@@ -276,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_boundary)
 
     p = sub.add_parser("table1", parents=[common], help="operating-point power summary")
+    p.add_argument("--format", choices=("json", "markdown"), help="override run.format")
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("montecarlo", parents=[common], help="off-time statistics over random clock phases")
@@ -292,10 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except _OverloadFailure:
         print("overload flag set", file=sys.stderr)
         return EXIT_OVERLOAD
-    except (ConfigFileError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigFileError, ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ModelDomainError, FloatingPointError, ZeroDivisionError, OverflowError) as exc:

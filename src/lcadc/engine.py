@@ -276,12 +276,12 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
     )
 
 
-def reconstruct(trace: Trace, config: AdcConfig | None = None) -> list[tuple[float, float]]:
+def reconstruct(trace: Trace) -> list[tuple[float, float]]:
     """Piecewise-constant output at the mid-level of each held code.
 
     Returns (time, volts) pairs; the value switches at each event's ACK.
     """
-    cfg = trace.config if config is None else config
+    cfg = trace.config
     mid = cfg.v_min + (trace.initial_code + 0.5) * cfg.delta
     steps = [(0.0, mid)]
     for ev in trace.events:
@@ -290,14 +290,11 @@ def reconstruct(trace: Trace, config: AdcConfig | None = None) -> list[tuple[flo
 
 
 def tracking_error(
-    trace: Trace,
-    spec: SignalSpec,
-    config: AdcConfig | None = None,
-    grid_points: int = 10_000,
+    trace: Trace, spec: SignalSpec, grid_points: int = 10_000
 ) -> tuple[float, float]:
     """(max absolute, rms) error between the reconstruction and the input,
     sampled on a uniform grid over the simulated span."""
-    steps = reconstruct(trace, config)
+    steps = reconstruct(trace)
     times = [t for t, _ in steps]
     values = [v for _, v in steps]
     n = max(grid_points, 2)

@@ -64,8 +64,8 @@ def parse_number(text: str) -> float:
     raise ValueError(f"not a number: {text!r}")
 
 
-# key -> (required?, default raw value); values are parsed lazily so errors
-# name the key that carried them
+# key -> default raw value; values are parsed lazily so errors name the key
+# that carried them
 _KNOWN_KEYS = {
     "signal.type": "sine",
     "signal.amplitude": "16",
@@ -242,8 +242,8 @@ def build_run_config(table: dict[str, tuple[str, int]]) -> RunConfig:
     except ValueError as exc:
         raise ConfigFileError(f"invalid power section: {exc}", key="power.p_on") from exc
     out_format = tb.raw("run.format")
-    if out_format not in ("json", "csv", "markdown"):
-        raise tb.error("run.format", "must be json, csv or markdown")
+    if out_format not in ("json", "markdown"):
+        raise tb.error("run.format", "must be json or markdown")
     t_end = tb.number("run.t_end")
     if t_end <= 0:
         raise tb.error("run.t_end", "must be > 0")

@@ -49,7 +49,7 @@ def test_criterion_01_mean_off_time_and_uniformity():
     spacing = (3 + math.sqrt(5)) / 2  # incommensurate with the clock period
     ramp = Ramp(start=0.0, slope=1.0 / (spacing * cfg.t_clk))
     t_end = 545 * spacing * cfg.t_clk
-    stats = monte_carlo_off_time(cfg, ramp, t_end, trials=200, seed=123, bins=10)
+    stats = monte_carlo_off_time(cfg, ramp, t_end, trials=200, seed=123)
     assert stats.n_events >= 100_000, f"only {stats.n_events} events"
     rel = abs(stats.mean - 1.5 * cfg.t_clk) / (1.5 * cfg.t_clk)
     assert rel <= 0.005, f"mean off {stats.mean} deviates {rel:.4%} from 1.5*t_clk"

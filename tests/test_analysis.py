@@ -138,7 +138,7 @@ def test_monte_carlo_mean_off_time():
 def test_monte_carlo_histogram_support():
     cfg, spec, spacing = ramp_mc_setup(levels=80)
     t_end = 60 * spacing * cfg.t_clk
-    stats = monte_carlo_off_time(cfg, spec, t_end, trials=10, seed=3, bins=10)
+    stats = monte_carlo_off_time(cfg, spec, t_end, trials=10, seed=3)
     assert sum(stats.counts) == stats.n_events
     assert stats.bin_edges[0] == pytest.approx(cfg.t_clk)
     assert stats.bin_edges[-1] == pytest.approx(2 * cfg.t_clk)

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -231,6 +232,31 @@ def test_table1_markdown(tmp_path, capsys):
     assert "average power" in text
 
 
+def test_table1_is_measure_pooled_over_trials(tmp_path):
+    """table1 reports measure() pooled over its trials, so off time is clipped
+    to the span.  This span ends 3 us after the 0 V crossing, with every
+    trial still gated off at t_end."""
+    from lcadc.analysis import trial_phase
+    from lcadc.engine import simulate
+    from lcadc.power import measure
+    from lcadc.runconfig import load_run_config
+
+    cfg = write_config(tmp_path, "run.t_end = 10.003m\nrun.trials = 2\nrun.seed = 0\n")
+    assert main(["table1", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "table1.json").read_text())
+    run = load_run_config(cfg)
+    t_off = energy = 0.0
+    for i in range(2):
+        adc = replace(run.adc, clock_phase=trial_phase(0, i, run.adc.t_clk))
+        trace = simulate(adc, run.signal, run.t_end)
+        assert trace.events[-1].t_on > run.t_end
+        report = measure(trace, run.power)
+        t_off += report.t_off
+        energy += report.energy
+    assert doc["off_fraction"] == t_off / (2 * run.t_end)
+    assert doc["p_avg_watts"] == energy / (2 * run.t_end)
+
+
 def test_table1_reduction_zero_when_powers_equal(tmp_path):
     # p_off just below p_on: reduction collapses regardless of off fraction
     cfg = write_config(
@@ -242,6 +268,23 @@ def test_table1_reduction_zero_when_powers_equal(tmp_path):
     assert main(["table1", "--config", cfg, "--out", out]) == 0
     doc = json.loads((tmp_path / "out" / "table1.json").read_text())
     assert abs(doc["reduction"]) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["montecarlo", "--format", "json"],
+        ["boundary", "--clocks", "201k", "--fail-on-overload"],
+        ["table1", "--format", "csv"],
+    ],
+)
+def test_flags_only_on_commands_that_read_them(tmp_path, capsys, argv):
+    # --format belongs to table1 (json or markdown), --fail-on-overload to
+    # simulate and sweep; argparse rejects them elsewhere with status 2
+    cfg = write_config(tmp_path, "run.t_end = 1m\nrun.trials = 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfg, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 def test_montecarlo_outputs_stats(tmp_path):

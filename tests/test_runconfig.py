@@ -167,6 +167,8 @@ def test_run_section_validation():
         parse("run.trials = 0\n")
     with pytest.raises(ConfigFileError):
         parse("run.format = yaml\n")
+    with pytest.raises(ConfigFileError):
+        parse("run.format = csv\n")
 
 
 def test_load_run_config_from_file(tmp_path):

@@ -81,6 +81,8 @@ def _json_text(obj: dict) -> str:
 def _load(args: argparse.Namespace) -> RunConfig:
     run = load_run_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigFileError("--seed must be >= 0")
         run = replace(run, seed=args.seed)
     if args.out is not None:
         run = replace(run, out=args.out)
@@ -109,7 +111,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     run = _load(args)
     if not isinstance(run.signal, Sine):
         raise ConfigFileError("sweeps require signal.type = sine", key="signal.type")
+    if not 0 < args.periods < math.inf:
+        raise ConfigFileError("--periods must be a positive number")
     grid = _parse_grid(args.grid)
+    if not all(0 < x < math.inf for x in grid):
+        raise ConfigFileError(f"bad grid spec {args.grid!r}: values must be positive")
     result = sweep(
         args.kind,
         grid,
@@ -141,13 +147,22 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     for part in args.clocks.split(","):
         if part.strip():
             try:
-                clocks.append(parse_number(part))
+                clk = parse_number(part)
             except ValueError as exc:
                 raise ConfigFileError(f"bad clock list: {exc}") from exc
+            if not 0 < clk < math.inf:
+                raise ConfigFileError(f"bad clock list: {part.strip()!r} must be positive")
+            clocks.append(clk)
     if not clocks:
         raise ConfigFileError("at least one clock frequency is required")
     a_limit = run.adc.level_count * run.adc.delta / 2.0
     fixed_grid = _parse_grid(args.grid) if args.grid else None
+    if fixed_grid and not (
+        fixed_grid[0] > 0 and all(a < b for a, b in zip(fixed_grid, fixed_grid[1:]))
+    ):
+        raise ConfigFileError(
+            f"bad grid spec {args.grid!r}: frequencies must be > 0 and ascending"
+        )
     written = []
     meta_curves = []
     for clk in clocks:
@@ -226,6 +241,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
     run = _load(args)
     trials = args.trials if args.trials is not None else run.trials
+    if trials < 1:
+        raise ConfigFileError("--trials must be >= 1")
     stats = monte_carlo_off_time(
         run.adc, run.signal, run.t_end, trials=trials, seed=run.seed
     )

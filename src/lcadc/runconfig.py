@@ -250,12 +250,15 @@ def build_run_config(table: dict[str, tuple[str, int]]) -> RunConfig:
     trials = tb.integer("run.trials")
     if trials < 1:
         raise tb.error("run.trials", "must be >= 1")
+    seed = tb.integer("run.seed")
+    if seed < 0:
+        raise tb.error("run.seed", "must be >= 0")
     return RunConfig(
         signal=signal,
         adc=adc,
         power=power,
         t_end=t_end,
-        seed=tb.integer("run.seed"),
+        seed=seed,
         trials=trials,
         out=tb.raw("run.out"),
         out_format=out_format,

@@ -1,4 +1,4 @@
-"""Analog input waveforms: exact evaluation, slope bounds, and crossing search.
+"""Analog input waveforms: exact evaluation and crossing search.
 
 Waveforms are small frozen dataclasses.  One search serves every waveform
 kind and both directions of travel: it finds the earliest traversal out of
@@ -8,10 +8,12 @@ on.  Sines, ramps and sampled (piecewise-linear) waveforms are solved in
 closed form, and every closed-form root goes through one confirm step, so
 all kinds follow one rule: the returned time is strictly beyond the level,
 and a root at the horizon counts only if the signal is already beyond
-there.  Only sums of sines scan a fixed time grid whose pitch is derived
-from the waveform's slope bound and the window width (so no excursion wider
-than a fraction of the window can slip between grid points) and then
-bisect down to the time tolerance.
+there.  Sums of sines step forward by a certified curvature envelope (the
+second-derivative form of Lipschitz root isolation, Shubert 1972): with
+K = sum(a*w**2) bounding |v''|, the signal stays between v + v'*s -/+ K*s**2/2
+over the next s seconds, so each step is the longest one that envelope
+keeps inside the interval, but at least a floor far below the time
+tolerance.  Only an excursion briefer than that floor could be stepped over.
 """
 
 from __future__ import annotations
@@ -23,13 +25,9 @@ from enum import Enum
 TIME_ABS_TOL = 1e-12  # absolute time resolution, seconds
 TIME_REL_TOL = 1e-9   # relative time resolution
 
-# Fraction of the window width the signal may travel per scan step.  Keeping
-# this well below 1 guarantees a genuine traversal cannot be stepped over.
-_PITCH_WINDOW_FRACTION = 0.25
-_PERIOD_DIVISIONS = 64
-
 _TWO_PI = 2.0 * math.pi
-# Step past a closed-form root, as a fraction of the time tolerance.
+# Step past a closed-form root, and the floor of a curvature-envelope step,
+# as a fraction of the time tolerance.
 _ROOT_STEP_FRACTION = 1.0 / 64.0
 
 
@@ -153,38 +151,8 @@ def evaluate(spec: SignalSpec, t: float) -> float:
     raise TypeError(f"unknown signal spec {type(spec).__name__}")
 
 
-def max_slope(spec: SignalSpec) -> float:
-    """Upper bound on |d(signal)/dt| in volts/second.
-
-    Tight for single sines (2*pi*f*A), ramps and sampled data; the sum bound
-    for SumOfSines is conservative.
-    """
-    if isinstance(spec, Sine):
-        return 2.0 * math.pi * spec.frequency * spec.amplitude
-    if isinstance(spec, Constant):
-        return 0.0
-    if isinstance(spec, Ramp):
-        return abs(spec.slope)
-    if isinstance(spec, SumOfSines):
-        return sum(2.0 * math.pi * f * a for a, f, _ in spec.tones)
-    if isinstance(spec, Sampled):
-        dv = max(
-            abs(b - a) for a, b in zip(spec.values[:-1], spec.values[1:])
-        )
-        return dv / spec.sample_period
-    raise TypeError(f"unknown signal spec {type(spec).__name__}")
-
-
 def _time_tol(t: float) -> float:
     return max(TIME_ABS_TOL, TIME_REL_TOL * abs(t))
-
-
-def _scan_pitch(spec: SumOfSines, width: float) -> float:
-    pitch = 1.0 / max(f for _, f, _ in spec.tones) / _PERIOD_DIVISIONS
-    slope = max_slope(spec)
-    if slope > 0.0:
-        pitch = min(pitch, _PITCH_WINDOW_FRACTION * width / slope)
-    return pitch
 
 
 def _bisect_beyond(
@@ -216,9 +184,10 @@ def next_window_exit(
     evaluates strictly beyond the boundary there; a crossing at the horizon
     counts only if the signal is already beyond at the horizon.
 
-    Sines, ramps and sampled waveforms are solved in closed form.  Only sums
-    of sines are scanned on a fixed grid and then bisected, so an excursion
-    that passes a boundary only briefly can fall between grid points.
+    Sines, ramps and sampled waveforms are solved in closed form.  Sums of
+    sines step by a curvature envelope that certifies each step stays inside
+    the window, so an excursion that passes a boundary only briefly is found
+    too.
     """
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
@@ -229,7 +198,7 @@ def next_window_exit(
         raise WindowStartError(
             f"signal is at {v0} V, outside [{lo}, {hi}] V, at t={t_from}"
         )
-    return _exit(spec, t_from, v0, lo, hi, horizon, hi - lo)
+    return _exit(spec, t_from, v0, lo, hi, horizon)
 
 
 def next_window_entry(
@@ -244,8 +213,8 @@ def next_window_entry(
     and under the same rule.  The returned time lies just past the traversal
     back across the boundary.  A signal already strictly inside is returned
     immediately as ``t_from``.  Sines, ramps and sampled waveforms are
-    solved in closed form; sums of sines are scanned at the pitch of the
-    window itself, so no step can carry the signal across it.
+    solved in closed form; sums of sines step by the same curvature envelope
+    as an exit, whose reach toward the infinite side is unbounded.
     """
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
@@ -255,7 +224,7 @@ def next_window_entry(
     if lo < v0 < hi:
         return t_from
     beyond_lo, beyond_hi = (hi, math.inf) if v0 >= hi else (-math.inf, lo)
-    found = _exit(spec, t_from, v0, beyond_lo, beyond_hi, horizon, hi - lo)
+    found = _exit(spec, t_from, v0, beyond_lo, beyond_hi, horizon)
     return None if found is None else found[0]
 
 
@@ -266,12 +235,10 @@ def _exit(
     lo: float,
     hi: float,
     horizon: float,
-    width: float,
 ) -> tuple[float, Direction] | None:
     """Earliest traversal out of [lo, hi] in (t_from, horizon] of a signal
     that is at ``v0`` in that interval at ``t_from``, as (t, direction), or
-    None.  Either end may be infinite; ``width`` is the converter window
-    width, which sets the scan pitch."""
+    None.  Either end may be infinite."""
     if isinstance(spec, Constant):
         return None
     if isinstance(spec, Sine):
@@ -286,22 +253,36 @@ def _exit(
     if isinstance(spec, Sampled):
         return _sampled_exit(spec, t_from, v0, lo, hi, horizon)
 
-    pitch = _scan_pitch(spec, width)
-    t_prev = t_from
-    k = 1
+    tones = [(a, _TWO_PI * f, p) for a, f, p in spec.tones]
+    curvature = sum(a * w * w for a, w, _ in tones)  # bounds |v''|
+    if curvature == 0.0:
+        return None
+    t = t_from
+    v = v0
     while True:
-        t_k = t_from + k * pitch
-        if t_k >= horizon:
-            t_k = horizon
-        v = evaluate(spec, t_k)
+        slope = sum(a * w * math.cos(w * t + p) for a, w, p in tones)
+        step = min(
+            _reach(hi - v, slope, curvature), _reach(v - lo, -slope, curvature)
+        )
+        t_next = min(t + max(step, _time_tol(t) * _ROOT_STEP_FRACTION), horizon)
+        v = evaluate(spec, t_next)
         if v > hi:
-            return _bisect_beyond(spec, t_prev, t_k, hi, True), Direction.UP
+            return _bisect_beyond(spec, t, t_next, hi, True), Direction.UP
         if v < lo:
-            return _bisect_beyond(spec, t_prev, t_k, lo, False), Direction.DOWN
-        if t_k >= horizon:
+            return _bisect_beyond(spec, t, t_next, lo, False), Direction.DOWN
+        if t_next >= horizon:
             return None
-        t_prev = t_k
-        k += 1
+        t = t_next
+
+
+def _reach(gap: float, rate: float, curvature: float) -> float:
+    """Largest s >= 0 with rate*s + curvature*s**2/2 <= gap: how far a
+    signal ``gap`` short of a level, moving toward it at ``rate`` with
+    |acceleration| at most ``curvature``, can go without reaching it."""
+    if gap == math.inf:
+        return math.inf
+    root = math.sqrt(rate * rate + 2.0 * curvature * gap)
+    return 2.0 * gap / (rate + root) if rate > 0.0 else (root - rate) / curvature
 
 
 def _sine_exit(

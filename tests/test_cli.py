@@ -183,6 +183,24 @@ def test_sweep_bad_grid_is_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["montecarlo", "--trials", "0"],
+        ["montecarlo", "--seed", "-1"],
+        ["sweep", "frequency", "--grid", "100:1k:3", "--periods", "0"],
+        ["sweep", "frequency", "--grid", "0:1k:3"],
+        ["sweep", "amplitude", "--grid=-1:1:3"],
+        ["boundary", "--clocks", "-5"],
+        ["boundary", "--clocks", "201k", "--grid", "1k:100:3"],
+    ],
+)
+def test_out_of_range_option_is_config_error(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error")
+
+
 def test_sweep_requires_sine(tmp_path, capsys):
     cfg = write_config(tmp_path, "signal.type = constant\nsignal.value = 1\n")
     assert main(["sweep", "frequency", "--config", cfg, "--grid", "1:2:2"]) == 2

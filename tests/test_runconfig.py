@@ -166,6 +166,8 @@ def test_run_section_validation():
     with pytest.raises(ConfigFileError):
         parse("run.trials = 0\n")
     with pytest.raises(ConfigFileError):
+        parse("run.seed = -1\n")
+    with pytest.raises(ConfigFileError):
         parse("run.format = yaml\n")
     with pytest.raises(ConfigFileError):
         parse("run.format = csv\n")

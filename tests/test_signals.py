@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from lcadc.signals import (
     TIME_ABS_TOL,
@@ -19,11 +20,10 @@ from lcadc.signals import (
     SumOfSines,
     WindowStartError,
     evaluate,
-    max_slope,
     next_window_entry,
     next_window_exit,
 )
-from tests.reference import count_level_crossings, eval_grid
+from tests.reference import count_level_crossings, eval_grid, eval_scalar
 
 
 def test_evaluate_sine_quarter_period():
@@ -70,26 +70,6 @@ def test_spec_validation():
         Sampled(sample_period=1.0, values=(0.0,))
     with pytest.raises(ValueError):
         SumOfSines(tones=())
-
-
-def test_max_slope_sine():
-    assert max_slope(Sine(amplitude=16.0, frequency=1000.0)) == pytest.approx(
-        2 * math.pi * 16000.0, rel=1e-12
-    )
-
-
-def test_max_slope_constant_and_ramp():
-    assert max_slope(Constant(3.0)) == 0.0
-    assert max_slope(Ramp(start=0.0, slope=-4.0)) == 4.0
-
-
-def test_max_slope_sampled():
-    assert max_slope(Sampled(sample_period=1.0, values=(0.0, 3.0, 1.0))) == pytest.approx(3.0)
-
-
-def test_max_slope_sum_bound():
-    spec = SumOfSines(tones=((1.0, 2.0, 0.0), (0.5, 10.0, 0.0)))
-    assert max_slope(spec) == pytest.approx(2 * math.pi * (2.0 + 5.0), rel=1e-12)
 
 
 def test_exit_ramp_linear():
@@ -159,7 +139,7 @@ def test_exit_returned_point_is_just_beyond():
     t, direction = next_window_exit(spec, 0.0, -1.0, 1.9, 2.0)
     boundary = 1.9 if direction is Direction.UP else -1.0
     v = evaluate(spec, t)
-    tol = max_slope(spec) * max(1e-12, 1e-9 * t) * 4.0
+    tol = 2 * math.pi * spec.frequency * spec.amplitude * max(1e-12, 1e-9 * t) * 4.0
     assert abs(v - boundary) <= tol
     if direction is Direction.UP:
         assert v > boundary
@@ -208,6 +188,9 @@ def test_exit_sine_zero_amplitude_never():
     assert next_window_exit(inside, 0.0, 0.5, 1.0, 10.0) is None
     above = Sine(amplitude=0.0, frequency=1.0, offset=2.0)
     assert next_window_entry(above, 0.0, 0.0, 1.0, 10.0) is None
+    silent = SumOfSines(((0.0, 1.0, 0.0), (0.0, 3.0, 1.0)), offset=1.0)
+    assert next_window_exit(silent, 0.0, 0.5, 1.0, 10.0) is None
+    assert next_window_entry(silent, 0.0, 0.0, 1.0, 10.0) is None
 
 
 def test_exit_sine_root_at_the_horizon():
@@ -315,6 +298,68 @@ def test_sine_shallow_excursion_exit_and_entry(
     n_steps = 200_000
     if t_back - t_out > 8 * (horizon - t_from) / n_steps:
         assert count_level_crossings(spec, boundary, t_from, horizon, n_steps) == (1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tones=st.lists(
+        st.tuples(st.floats(0.1, 10.0), st.floats(100.0, 1e4)), min_size=2, max_size=3
+    ),
+    t_ext=st.floats(1e-3, 2e-2),
+    offset=st.floats(-5.0, 5.0),
+    width=st.floats(0.01, 0.5),
+    eps=st.floats(1e-7, 1e-2),
+    peak=st.booleans(),
+    entry=st.booleans(),
+)
+def test_sum_of_sines_graze_exit_and_entry(tones, t_ext, offset, width, eps, peak, entry):
+    # every tone is phased to peak (or trough) at t_ext, so within half the
+    # shortest period on either side the sum moves monotonically toward that
+    # extremum, which passes a level by eps*delta.  For an exit the window
+    # lies on the near side of the level; for an entry the signal starts
+    # beyond it and dips just inside.  Either way the search starts on the
+    # approach, and the only traversal before t_ext is the one root.
+    sign = 1.0 if peak else -1.0
+    spec = SumOfSines(
+        tuple(
+            (a, f, math.fmod(sign * math.pi / 2 - 2 * math.pi * f * t_ext, 2 * math.pi))
+            for a, f in tones
+        ),
+        offset=offset,
+    )
+    delta = width * sum(a for a, _ in tones)
+    level = evaluate(spec, t_ext) - sign * eps * delta
+    window_below = peak != entry
+    lo, hi = (level - delta, level) if window_below else (level, level + delta)
+    half = 0.5 / max(f for _, f in tones)
+    t_from, horizon = t_ext - half, t_ext + half
+
+    def past(t):  # how far the reference sum is past the level, toward the extremum
+        return sign * (eval_scalar(spec, t) - level)
+
+    assert past(t_from) < 0.0  # the highest tone alone falls by 2*a >= 0.2 V
+    if not entry and past(t_from) < -delta / 2:
+        t_from = brentq(lambda t: past(t) + delta / 2, t_from, t_ext)
+    root = brentq(past, t_from, t_ext, xtol=1e-18, rtol=4 * np.finfo(float).eps)
+
+    if entry:
+        t = next_window_entry(spec, t_from, lo, hi, horizon)
+        assert t is not None
+        assert lo < evaluate(spec, t) < hi
+    else:
+        got = next_window_exit(spec, t_from, lo, hi, horizon)
+        assert got is not None
+        t, direction = got
+        assert direction is (Direction.UP if peak else Direction.DOWN)
+    assert sign * (evaluate(spec, t) - level) > 0.0
+    # near a shallow extremum the root is defined only to the resolution of
+    # the evaluated sum: a few ulps of it over the slope there
+    slope = sum(
+        a * 2 * math.pi * f * math.cos(2 * math.pi * f * root + p) for a, f, p in spec.tones
+    )
+    res = 8 * math.ulp(abs(offset) + 2 * sum(a for a, _ in tones)) / abs(slope)
+    res += 4 * math.ulp(t)
+    assert root - res <= t <= root + _tol(root) + res
 
 
 def _beyond(v, level, rising):

@@ -7,8 +7,12 @@ Usage::
 Runs ``simulate``, ``sweep frequency --grid 100:1k:20:log``, ``boundary
 --clocks 100k,201k,402k``, ``table1`` (JSON and markdown) and ``montecarlo
 --trials 5`` in-process, with no config file (the built-in stock operating
-point), into OUT_DIR.  Prints one ``sha256  name`` line per written file and
-per captured stdout, sorted by name.  OUT_DIR is replaced by a fixed token in
+point), into OUT_DIR.  One more ``simulate`` runs a sum of sines from the
+config file ``sum_of_sines.cfg``, which it writes into OUT_DIR, and puts its
+outputs in OUT_DIR/sum_of_sines; that input exercises the generic crossing
+search that the all-sine stock runs never reach.  Prints one ``sha256
+name`` line per written file (path relative to OUT_DIR) and per captured
+stdout, sorted by name.  OUT_DIR is replaced by a fixed token in
 the captured stdout, so two listings made into different directories, say
 from two checkouts, can be compared with ``diff``.  SRC_DIR (default: the
 ``src`` next to this script) is the package tree to import ``lcadc`` from.
@@ -23,13 +27,27 @@ import io
 import os
 import sys
 
+# Two tones whose peak passes the 14 V level by 50 uV once per period; over
+# 10 ms that makes 460 level crossings, every one of which must be served.
+SUM_OF_SINES_CONFIG = """\
+signal.type = sum_of_sines
+signal.tones = 9:1k:0, 4:2k:0.5
+signal.offset = 3.965439903
+run.t_end = 10m
+"""
+
+# {out} stands for OUT_DIR
 COMMANDS = (
-    ("simulate", ["simulate"]),
-    ("sweep", ["sweep", "frequency", "--grid", "100:1k:20:log"]),
-    ("boundary", ["boundary", "--clocks", "100k,201k,402k"]),
-    ("table1", ["table1"]),
-    ("table1_markdown", ["table1", "--format", "markdown"]),
-    ("montecarlo", ["montecarlo", "--trials", "5"]),
+    ("simulate", ["simulate", "--out", "{out}"]),
+    ("sweep", ["sweep", "frequency", "--grid", "100:1k:20:log", "--out", "{out}"]),
+    ("boundary", ["boundary", "--clocks", "100k,201k,402k", "--out", "{out}"]),
+    ("table1", ["table1", "--out", "{out}"]),
+    ("table1_markdown", ["table1", "--format", "markdown", "--out", "{out}"]),
+    ("montecarlo", ["montecarlo", "--trials", "5", "--out", "{out}"]),
+    (
+        "simulate_sum_of_sines",
+        ["simulate", "--config", "{out}/sum_of_sines.cfg", "--out", "{out}/sum_of_sines"],
+    ),
 )
 
 OUT_TOKEN = "<out>"
@@ -43,18 +61,23 @@ def run_all(out: str) -> dict[str, str]:
     """Run every command into ``out``; return name -> sha256 of each output."""
     from lcadc.cli import main
 
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "sum_of_sines.cfg"), "w", encoding="utf-8") as fh:
+        fh.write(SUM_OF_SINES_CONFIG)
     digests = {}
     for name, argv in COMMANDS:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = main(argv + ["--out", out])
+            code = main([arg.format(out=out) for arg in argv])
         if code != 0:
             raise SystemExit(f"{name} exited with status {code}")
         text = buf.getvalue().replace(out, OUT_TOKEN)
         digests[f"stdout/{name}"] = _sha256(text.encode("utf-8"))
-    for fname in os.listdir(out):
-        with open(os.path.join(out, fname), "rb") as fh:
-            digests[fname] = _sha256(fh.read())
+    for root, _, files in os.walk(out):
+        for fname in files:
+            path = os.path.join(root, fname)
+            with open(path, "rb") as fh:
+                digests[os.path.relpath(path, out)] = _sha256(fh.read())
     return digests
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import AdcConfig, Trace, simulate
+from .engine import AdcConfig, simulate
 from .power import (
     ModelDomainError,
     PowerParams,
@@ -154,15 +154,15 @@ def monte_carlo_off_time(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t_clk = config.t_clk
-    offs: list[float] = []
+    offs: list[np.ndarray] = []
     for i in range(trials):
         phase = trial_phase(seed, i, t_clk)
         trace = simulate(replace(config, clock_phase=phase), spec, t_end)
-        offs.extend(ev.off_duration for ev in trace.events)
+        offs.append(trace.t_on - trace.t_req)
+    arr = np.concatenate(offs)
     lo = t_clk + config.settle_time
     hi = 2.0 * t_clk + config.settle_time
-    if offs:
-        arr = np.asarray(offs)
+    if len(arr):
         mean = float(arr.mean())
         std = float(arr.std())
         counts, edges = np.histogram(arr, bins=OFF_TIME_BINS, range=(lo, hi))
@@ -173,7 +173,7 @@ def monte_carlo_off_time(
         edges = np.linspace(lo, hi, OFF_TIME_BINS + 1)
     return OffTimeStats(
         trials=trials,
-        n_events=len(offs),
+        n_events=len(arr),
         mean=mean,
         std=std,
         bin_edges=tuple(float(e) for e in edges),

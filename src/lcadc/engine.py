@@ -14,13 +14,19 @@ configuration, waveform and span always produce the same trace.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .signals import (
     Direction,
     SignalSpec,
+    Sine,
+    WindowStartError,
+    _sine_stable_until,
     evaluate,
     next_window_entry,
     next_window_exit,
@@ -30,6 +36,13 @@ from .signals import (
 # skipped by the strictly-after rule; doubles amply resolve it for the
 # microsecond-scale periods this model targets.
 EDGE_TOLERANCE = 1e-12
+# Share of a sine's full scale within which a vectorized window check defers
+# to the scalar evaluate.
+_VALUE_GUARD = 1e-9
+_SEPARATORS = (",", ":")
+_DIRECTIONS = {1: Direction.UP, -1: Direction.DOWN}
+# dtypes of the t_req, t_ack, t_on, code_after, dir and immediate columns
+_COLUMN_TYPES = (np.float64, np.float64, np.float64, np.int64, np.int8, np.bool_)
 
 
 class ConfigError(ValueError):
@@ -125,9 +138,25 @@ class CrossingEvent:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Simulation result: served crossings plus range/overrun annotations.
+    """Simulation result: served crossings as columns, plus range/overrun
+    annotations.
+
+    Served crossings are rows of six equal-length numpy columns, in the
+    order they were served:
+
+    ==========  =======  ===================================================
+    t_req       float64  request: the comparators gate off
+    t_ack       float64  ACK edge: the code steps
+    t_on        float64  power-up: t_ack + settle_time
+    code_after  int64    code held from t_ack on
+    dir         int8     +1 for a crossing up, -1 for a crossing down
+    immediate   bool     catch-up request raised at the previous power-up
+    ==========  =======  ===================================================
+
+    The code before a row is code_after - dir.  ``events`` shows the rows as
+    CrossingEvent objects, built on first use.
 
     saturation lists [start, end] intervals spent pinned at the bottom or top
     code with the comparators on.  overload is set the first time a power-up
@@ -138,17 +167,39 @@ class Trace:
 
     config: AdcConfig
     initial_code: int
-    events: tuple[CrossingEvent, ...]
+    t_req: np.ndarray
+    t_ack: np.ndarray
+    t_on: np.ndarray
+    code_after: np.ndarray
+    dir: np.ndarray
+    immediate: np.ndarray
     saturation: tuple[tuple[float, float], ...]
     overload: bool
     overload_time: float | None
     t_end: float
 
+    @functools.cached_property
+    def events(self) -> tuple[CrossingEvent, ...]:
+        return tuple(
+            CrossingEvent(t_req, _DIRECTIONS[step], code - step, code, t_ack, t_on, immediate)
+            for t_req, step, code, t_ack, t_on, immediate in zip(
+                self.t_req.tolist(),
+                self.dir.tolist(),
+                self.code_after.tolist(),
+                self.t_ack.tolist(),
+                self.t_on.tolist(),
+                self.immediate.tolist(),
+            )
+        )
+
     def to_json_dict(self) -> dict:
+        return self._document([ev.to_json_dict() for ev in self.events])
+
+    def _document(self, events: list) -> dict:
         return {
             "config": self.config.to_json_dict(),
             "initial_code": self.initial_code,
-            "events": [ev.to_json_dict() for ev in self.events],
+            "events": events,
             "saturation": [list(iv) for iv in self.saturation],
             "overload": self.overload,
             "overload_time": self.overload_time,
@@ -156,7 +207,29 @@ class Trace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        """``to_json_dict`` as compact JSON with sorted keys, rendering the
+        events straight from the columns.  Floats print as ``repr``, as in
+        ``json.dumps``.  The rest is dumped with an empty events list; only
+        "config" sorts before "events", and it holds no such text, so the
+        first '"events":[]' is the slot the events go in."""
+        t_ack = list(map(repr, self.t_ack.tolist()))
+        # with no settle time t_on is t_ack, and so is its text
+        same = np.array_equal(self.t_on, self.t_ack)
+        t_on = t_ack if same else list(map(repr, self.t_on.tolist()))
+        events = ",".join(
+            f'{{"code_after":{code},"code_before":{code - step},"dir":"{_DIRECTIONS[step].value}",'
+            f'"immediate":{"true" if immediate else "false"},"t_ack":{ack},"t_on":{on},"t_req":{req}}}'
+            for code, step, immediate, ack, on, req in zip(
+                self.code_after.tolist(),
+                self.dir.tolist(),
+                self.immediate.tolist(),
+                t_ack,
+                t_on,
+                map(repr, self.t_req.tolist()),
+            )
+        )
+        text = json.dumps(self._document([]), sort_keys=True, separators=_SEPARATORS)
+        return text.replace('"events":[]', f'"events":[{events}]', 1)
 
 
 def ack_time(t_req: float, clock_freq: float, clock_phase: float = 0.0) -> float:
@@ -178,6 +251,19 @@ def ack_time(t_req: float, clock_freq: float, clock_phase: float = 0.0) -> float
     return clock_phase + (first_after + 1) * t_clk
 
 
+def _ack_times(t_req: np.ndarray, clock_freq: float, clock_phase: float) -> np.ndarray:
+    """``ack_time`` of every request in ``t_req``, by the same float
+    operations, so each element equals the scalar result bit for bit."""
+    t_clk = 1.0 / clock_freq
+    k = np.floor((t_req - clock_phase) / t_clk) - 1.0
+    limit = t_req + EDGE_TOLERANCE
+    early = clock_phase + (k + 1.0) * t_clk <= limit
+    while early.any():
+        k += early
+        early = clock_phase + (k + 1.0) * t_clk <= limit
+    return clock_phase + (np.maximum(k + 1.0, 0.0) + 1.0) * t_clk
+
+
 def initial_code(config: AdcConfig, spec: SignalSpec) -> int:
     """Code at t=0, floor-quantized from the input value.
 
@@ -191,7 +277,16 @@ def initial_code(config: AdcConfig, spec: SignalSpec) -> int:
             f"[{config.v_min}, {config.input_limit}] V"
         )
     code = int(math.floor((v0 - config.v_min) / config.delta))
-    return min(max(code, 0), config.level_count - 1)
+    top = config.level_count - 1
+    code = min(max(code, 0), top)
+    # the division can round an input a hair off a level across it; the
+    # input must lie inside the window the loop starts from
+    lo, hi = config.window(code)
+    if v0 < lo and code > 0:
+        code -= 1
+    elif v0 > hi and code < top:
+        code += 1
+    return code
 
 
 def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
@@ -203,77 +298,260 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
     catch-up crossing.  A code step that would leave the range instead pins
     the window at the rail with the comparators on until the signal returns
     (recorded as a saturation interval).
+
+    A sine input first takes the lockstep path.  Its window exits do not
+    depend on the clock as long as each power-up finds the input inside the
+    shifted window before its next exit.  So the loop records the requests
+    it finds, up to its first catch-up, in a sequence shared by every run on
+    the same input, level grid and span; the last one is kept, and a Monte
+    Carlo run over clock phases searches once.  A run that finds requests
+    recorded computes all their ACK times at once with a vectorized
+    ``ack_time`` and certifies each served request.  Its power-up, and the
+    start of the recorded search that followed it, must both lie before the
+    ``_sine_stable_until`` bound from the request.  The power-up must also
+    find the input inside the shifted window; values within 1e-9 of full
+    scale of a boundary are rechecked with the scalar ``evaluate``.  The
+    loop's own search from such a power-up returns exactly the recorded next
+    request, so the certified prefix is the loop's trace bit for bit.  The
+    loop takes over after the first request that fails, from its code,
+    power-up time and direction, and records on if no later request was
+    recorded.  Past the tracking limit a catch-up comes within a few events,
+    so little is recorded and later runs fall back early.  Other waveforms
+    run the loop from t=0.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
-    code = start_code = initial_code(config, spec)
-    lo, hi = config.window(code)
+    code = initial_code(config, spec)
+    record = _Record()
+    resume = (code, 0.0, None, None)
+    if isinstance(spec, Sine):
+        resume = _lockstep(config, spec, t_end, record, code)
+    if resume is not None:
+        _serve(config, spec, t_end, record, *resume)
+    return record.trace(config, code, t_end)
+
+
+class _Record:
+    """A trace under construction: the certified prefix of a shared request
+    sequence as columns, then event rows and annotations from the loop."""
+
+    def __init__(self) -> None:
+        # t_req, t_ack, t_on, code_after, dir and immediate as arrays
+        self.prefix: tuple[np.ndarray, ...] = ()
+        # the same columns as lists, one entry per loop event; lists of
+        # numbers, unlike a tuple per event, give the garbage collector
+        # nothing to track
+        self.columns: tuple[list, ...] = tuple([] for _ in _COLUMN_TYPES)
+        self.saturation: list[tuple[float, float]] = []
+        self.overload_time: float | None = None
+
+    def trace(self, config: AdcConfig, start_code: int, t_end: float) -> Trace:
+        parts = [np.asarray(c, dtype=d) for c, d in zip(self.columns, _COLUMN_TYPES)]
+        if self.prefix:
+            parts = [np.concatenate(pair) for pair in zip(self.prefix, parts)]
+        t_req, t_ack, t_on, code_after, step, immediate = parts
+        return Trace(
+            config=config,
+            initial_code=start_code,
+            t_req=t_req,
+            t_ack=t_ack,
+            t_on=t_on,
+            code_after=code_after,
+            dir=step,
+            immediate=immediate,
+            saturation=tuple(self.saturation),
+            overload=self.overload_time is not None,
+            overload_time=self.overload_time,
+            t_end=t_end,
+        )
+
+
+def _serve(
+    config: AdcConfig,
+    spec: SignalSpec,
+    t_end: float,
+    record: _Record,
+    code: int,
+    now: float,
+    served: Direction | None,
+    requests: _SineRequests | None,
+) -> None:
+    """The conversion loop from ``now`` to t_end, into ``record``.
+
+    With ``served`` set, the comparators power up at ``now`` after a
+    crossing served in that direction, and the loop first checks for a
+    catch-up request; otherwise they are on at ``now`` with the input inside
+    the window of ``code``.  Each request found until the first catch-up is
+    also added to ``requests``, when given.
+    """
     top = config.level_count - 1
-
-    events: list[CrossingEvent] = []
-    saturation: list[tuple[float, float]] = []
-    overload = False
-    overload_time: float | None = None
-    now = 0.0
-
+    lo, hi = config.window(code)
+    t_reqs, t_acks, t_ons, codes, steps, catch_ups = record.columns
     while now < t_end:
-        found = next_window_exit(spec, now, lo, hi, t_end)
-        if found is None:
-            break
-        t_req, direction = found
-        immediate = False
-        while True:
-            step = 1 if direction is Direction.UP else -1
-            if not 0 <= code + step <= top:
-                # range rail: window pinned, comparators stay on; a rail
-                # crossing at t_end itself leaves nothing to search
-                t_back = None
-                if t_req < t_end:
-                    t_back = next_window_entry(spec, t_req, lo, hi, t_end)
-                now = t_end if t_back is None else t_back
-                saturation.append((t_req, now))
+        if served is None:
+            start = now
+            found = next_window_exit(spec, start, lo, hi, t_end)
+            if found is None:
+                if requests is not None:
+                    requests.close(start)
                 break
-            t_ack = ack_time(t_req, config.clock_freq, config.clock_phase)
-            t_on = t_ack + config.settle_time
-            events.append(
-                CrossingEvent(
-                    t_req=t_req,
-                    direction=direction,
-                    code_before=code,
-                    code_after=code + step,
-                    t_ack=t_ack,
-                    t_on=t_on,
-                    immediate=immediate,
-                )
-            )
-            code += step
-            lo, hi = config.window(code)
-            if t_on >= t_end:
-                now = t_on
-                break
-            v = evaluate(spec, t_on)
+            t_req, direction = found
+            immediate = False
+        else:
+            v = evaluate(spec, now)
             if lo <= v <= hi:
-                now = t_on
-                break
-            pending = Direction.UP if v > hi else Direction.DOWN
-            if pending is direction and overload_time is None:
+                served = None
+                continue
+            direction = Direction.UP if v > hi else Direction.DOWN
+            if direction is served and record.overload_time is None:
                 # the input cleared the shifted window in the crossing
                 # direction: more than one level lost during one loop
-                overload = True
-                overload_time = t_on
-            t_req = t_on
-            direction = pending
+                record.overload_time = now
+            t_req = now
             immediate = True
+            requests = None  # what follows depends on this clock
+        step = 1 if direction is Direction.UP else -1
+        if not 0 <= code + step <= top:
+            # range rail: window pinned, comparators stay on; a rail
+            # crossing at t_end itself leaves nothing to search
+            t_back = None
+            if t_req < t_end:
+                t_back = next_window_entry(spec, t_req, lo, hi, t_end)
+            now = t_end if t_back is None else t_back
+            record.saturation.append((t_req, now))
+            if requests is not None:
+                requests.rows.append((t_req, step, code, now, start))
+                if t_back is None:
+                    requests.close(math.nan)
+            served = None
+            continue
+        t_ack = ack_time(t_req, config.clock_freq, config.clock_phase)
+        now = t_ack + config.settle_time
+        code += step
+        t_reqs.append(t_req)
+        t_acks.append(t_ack)
+        t_ons.append(now)
+        codes.append(code)
+        steps.append(step)
+        catch_ups.append(immediate)
+        if requests is not None:
+            requests.rows.append((t_req, step, code, math.nan, start))
+        lo, hi = config.window(code)
+        served = direction
 
-    return Trace(
-        config=config,
-        initial_code=start_code,
-        events=tuple(events),
-        saturation=tuple(saturation),
-        overload=overload,
-        overload_time=overload_time,
-        t_end=t_end,
+
+class _SineRequests:
+    """The requests a sine input raises on one level grid, shared by runs at
+    every clock.
+
+    The event loop of whichever run first reaches a request records it,
+    until that run's first catch-up request, which depends on its clock.
+    Per request: ``t_req``; ``dir`` (+1 up, -1 down); ``code_after``, the
+    code held after it (a rail crossing leaves it); ``rail_end``, where the
+    saturation interval of a rail crossing ends (NaN for a served request);
+    and ``start``, where the search that found it started.  ``complete`` once
+    a search, started at ``last_start``, found no further exit, or a rail
+    crossing lasted to t_end.
+    """
+
+    def __init__(self, spec: Sine, grid: AdcConfig) -> None:
+        self.spec = spec
+        self.grid = grid
+        self.rows: list[tuple[float, int, int, float, float]] = []
+        self.complete = False
+        self.last_start = math.nan
+        self._stable: list[float] = []
+        self._columns: tuple = (None, ())
+
+    def close(self, start: float) -> None:
+        self.complete = True
+        self.last_start = start
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """t_req, dir, code_after, rail, rail_end, limit, lo and hi as
+        arrays; ``rail`` marks rail crossings, lo and hi bound the window
+        after each request.
+
+        A power-up before ``limit``, inside the window, finds the recorded
+        next request: ``limit`` is the ``_sine_stable_until`` bound from a
+        served request if the recorded search that followed it started
+        before that bound, else -inf, as it is for the last request while
+        the sequence is incomplete.  The bounds are computed once, when a
+        second run reads the requests.
+        """
+        key = (len(self.rows), self.complete)
+        if self._columns[0] == key:
+            return self._columns[1]
+        grid, spec = self.grid, self.spec
+        for t_req, _, code, rail_end, _ in self.rows[len(self._stable):]:
+            stable = math.inf
+            if math.isnan(rail_end):
+                lo, hi = grid.window(code)
+                stable = _sine_stable_until(spec, t_req, lo, hi)
+            self._stable.append(stable)
+        t_req, step, code_after, rail_end, start = (np.asarray(c) for c in zip(*self.rows))
+        rail = ~np.isnan(rail_end)
+        stable = np.asarray(self._stable)
+        next_start = np.append(start[1:], self.last_start)
+        # NaN, no search recorded after the last request yet, compares false
+        limit = np.where(rail, np.inf, np.where(next_start < stable, stable, -np.inf))
+        lo = grid.v_min + code_after * grid.delta
+        columns = (t_req, step.astype(np.int8), code_after, rail, rail_end, limit, lo, lo + grid.delta)
+        self._columns = (key, columns)
+        return columns
+
+
+@functools.lru_cache(maxsize=1)
+def _sine_requests(spec: Sine, grid: AdcConfig, t_end: float) -> _SineRequests:
+    """The shared requests of one input, level grid (a config whose clock
+    fields are set to fixed values) and span; only the last one asked for is
+    kept."""
+    return _SineRequests(spec, grid)
+
+
+def _lockstep(
+    config: AdcConfig, spec: Sine, t_end: float, record: _Record, code: int
+) -> tuple[int, float, Direction | None, _SineRequests | None] | None:
+    """Serve the certified prefix of the shared request sequence at this
+    config's clock, into ``record``.  Returns the arguments ``_serve`` takes
+    over with, or None when the whole span was served (see ``simulate``)."""
+    grid = replace(config, clock_freq=1.0, clock_phase=0.0, settle_time=0.0)
+    seq = _sine_requests(spec, grid, t_end)
+    if not seq.rows:
+        return None if seq.complete else (code, 0.0, None, seq)
+    t_req, step, code_after, rail, rail_end, limit, lo, hi = seq.columns()
+    t_ack = _ack_times(t_req, config.clock_freq, config.clock_phase)
+    t_on = t_ack + config.settle_time
+    certified = (t_on < limit) & (rail | _inside(spec, t_on, lo, hi))
+    failed = np.flatnonzero(~certified)
+    end = int(failed[0]) + 1 if len(failed) else len(t_req)
+    served = ~rail[:end]
+    record.prefix = tuple(
+        column[:end][served]
+        for column in (t_req, t_ack, t_on, code_after, step, np.zeros(end, dtype=bool))
     )
+    record.saturation.extend(zip(t_req[:end][~served].tolist(), rail_end[:end][~served].tolist()))
+    if not len(failed):
+        return None
+    j = end - 1
+    # the run takes over after request j, and records from there on if j
+    # is the last one recorded
+    extend = seq if j == len(t_req) - 1 and not seq.complete else None
+    if rail[j]:
+        return int(code_after[j]), float(rail_end[j]), None, extend
+    return int(code_after[j]), float(t_on[j]), _DIRECTIONS[int(step[j])], extend
+
+
+def _inside(spec: Sine, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo <= evaluate(spec, t) <= hi for each element.  numpy's sine may
+    differ from ``math.sin`` in the last bits, so values within a guard of
+    a boundary are rechecked with the scalar ``evaluate``."""
+    v = spec.offset + spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t + spec.phase)
+    inside = (lo <= v) & (v <= hi)
+    guard = _VALUE_GUARD * max(1.0, abs(spec.offset) + spec.amplitude)
+    for j in np.flatnonzero((np.abs(v - lo) <= guard) | (np.abs(v - hi) <= guard)):
+        inside[j] = lo[j] <= evaluate(spec, float(t[j])) <= hi[j]
+    return inside
 
 
 def reconstruct(trace: Trace) -> list[tuple[float, float]]:
@@ -283,10 +561,8 @@ def reconstruct(trace: Trace) -> list[tuple[float, float]]:
     """
     cfg = trace.config
     mid = cfg.v_min + (trace.initial_code + 0.5) * cfg.delta
-    steps = [(0.0, mid)]
-    for ev in trace.events:
-        steps.append((ev.t_ack, cfg.v_min + (ev.code_after + 0.5) * cfg.delta))
-    return steps
+    levels = cfg.v_min + (trace.code_after + 0.5) * cfg.delta
+    return [(0.0, mid), *zip(trace.t_ack.tolist(), levels.tolist())]
 
 
 def tracking_error(

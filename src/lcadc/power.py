@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .engine import Trace
 
 # Per-event gating overhead that puts the mean-savings breakeven at ~201 kHz
@@ -90,11 +92,12 @@ def measure(trace: Trace, params: PowerParams) -> PowerReport:
     if trace.t_end <= 0:
         raise ValueError("trace span must be positive")
     t_total = trace.t_end
-    t_off = 0.0
-    for ev in trace.events:
-        t_off += min(ev.t_on, t_total) - min(ev.t_req, t_total)
+    off = np.minimum(trace.t_on, t_total) - np.minimum(trace.t_req, t_total)
+    # accumulate adds left to right like a += loop; a pairwise sum would
+    # round differently
+    t_off = float(np.add.accumulate(off)[-1]) if len(off) else 0.0
     t_on = t_total - t_off
-    n_cross = len(trace.events)
+    n_cross = len(off)
     energy = params.p_on * t_on + params.p_off * t_off + n_cross * params.e_event
     p_avg = energy / t_total
     rate = n_cross / t_total

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .engine import AdcConfig
 from .power import PowerParams
-from .signals import Constant, Ramp, Sampled, SignalSpec, Sine, SumOfSines
+from .signals import TIME_ABS_TOL, Constant, Ramp, Sampled, SignalSpec, Sine, SumOfSines
 
 SI_SUFFIXES = {
     "k": 1e3,
@@ -247,6 +247,10 @@ def build_run_config(table: dict[str, tuple[str, int]]) -> RunConfig:
     t_end = tb.number("run.t_end")
     if t_end <= 0:
         raise tb.error("run.t_end", "must be > 0")
+    if isinstance(signal, Sampled) and t_end > signal.span + TIME_ABS_TOL:
+        raise tb.error(
+            "run.t_end", f"{t_end} s runs past the sampled signal's span of {signal.span} s"
+        )
     trials = tb.integer("run.trials")
     if trials < 1:
         raise tb.error("run.trials", "must be >= 1")

@@ -289,21 +289,36 @@ def _sine_exit(
     spec: Sine, t_from: float, lo: float, hi: float, horizon: float
 ) -> tuple[float, Direction] | None:
     """Earliest upward traversal of ``hi`` or downward traversal of ``lo``
-    by a sine in (t_from, horizon], solved in closed form.
+    by a sine in (t_from, horizon], solved in closed form: the first of
+    ``_sine_excursions`` that ``_confirm`` shows beyond its level."""
+    for t_root, t_peak, level, rising, _ in _sine_excursions(spec, t_from, lo, hi):
+        found = _confirm(spec, t_from, t_root, min(t_peak, horizon), level, rising)
+        if found is not None:
+            return found
+    return None
+
+
+def _sine_excursions(
+    spec: Sine, t_from: float, lo: float, hi: float
+) -> list[tuple[float, float, float, bool, bool]]:
+    """The excursions beyond ``hi`` (upward) and ``lo`` (downward) that a
+    sine search from ``t_from`` tries, earliest root first.
 
     With s = (level - offset)/amplitude, the signal lies strictly beyond the
     level on phase intervals of half-width pi/2 - asin(s) around pi/2
     (upward) or pi/2 + asin(s) around -pi/2 (downward), plus 2*pi*k.  A level
     the extremum only touches (s >= 1 upward, s <= -1 downward), or an
-    infinite one, is never traversed.  The first interval whose extremum
-    lies after t_from gives the root; a root at or before t_from is a start
+    infinite one, is never traversed.  For each other level the excursion is
+    the first whose extremum lies after t_from, as (t_root, t_peak, level,
+    rising, shifted); ``shifted`` marks an extremum moved one period on
+    because rounding put t_from on it.  A root at or before t_from is a start
     on the boundary moving outward.
     """
     if spec.amplitude == 0.0:
-        return None
+        return []
     omega = 2.0 * math.pi * spec.frequency
     theta0 = omega * t_from + spec.phase
-    roots = []
+    excursions = []
     for level, rising in ((hi, True), (lo, False)):
         s = (level - spec.offset) / spec.amplitude
         if rising:
@@ -316,14 +331,31 @@ def _sine_exit(
             center, half = -0.5 * math.pi, 0.5 * math.pi + math.asin(min(s, 1.0))
         k = math.floor((theta0 - center) / _TWO_PI) + 1
         t_peak = (center + _TWO_PI * k - spec.phase) / omega
-        if t_peak <= t_from:  # rounding put t_from on the extremum itself
+        shifted = t_peak <= t_from
+        if shifted:
             t_peak += _TWO_PI / omega
-        roots.append((t_peak - half / omega, t_peak, level, rising))
-    for t_root, t_peak, level, rising in sorted(roots, key=lambda r: r[0]):
-        found = _confirm(spec, t_from, t_root, min(t_peak, horizon), level, rising)
-        if found is not None:
-            return found
-    return None
+        excursions.append((t_peak - half / omega, t_peak, level, rising, shifted))
+    excursions.sort(key=lambda r: r[0])
+    return excursions
+
+
+def _sine_stable_until(spec: Sine, t_from: float, lo: float, hi: float) -> float:
+    """A time such that ``_sine_exit`` from any start in [t_from, that time)
+    returns exactly what it returns from ``t_from``.
+
+    The search reads its start only through each level's period index k and
+    through ``max(t_root, t_from)`` in ``_confirm``.  Both stay put while the
+    start lies before every root, less a time tolerance that dwarfs the
+    rounding of k.  -inf if rounding put t_from on an extremum; +inf if no
+    level is traversed.
+    """
+    excursions = _sine_excursions(spec, t_from, lo, hi)
+    if not excursions:
+        return math.inf
+    if any(shifted for *_, shifted in excursions):
+        return -math.inf
+    first = excursions[0][0]
+    return first - _time_tol(first)
 
 
 def _sampled_exit(

@@ -105,6 +105,18 @@ def test_signal_out_of_range_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_sampled_span_shorter_than_run_is_config_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "signal.type = sampled\nsignal.sample_period = 1u\nsignal.values = 0, 1\n"
+        "run.t_end = 1m\n",
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "run.t_end" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     import lcadc.cli as cli
     from lcadc.power import ModelDomainError

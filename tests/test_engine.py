@@ -1,10 +1,15 @@
+import json
 import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lcadc import signals
+from lcadc import engine, signals
+from lcadc.analysis import monte_carlo_off_time
 from lcadc.engine import (
     AdcConfig,
     ConfigError,
@@ -63,6 +68,20 @@ def test_ack_interval_bounds_random():
         assert t_clk - 1e-9 * t_clk < d <= 2 * t_clk + 1e-9 * t_clk
 
 
+def test_vectorized_ack_matches_scalar():
+    # requests on edges, within +-1e-12 s of them (the simultaneity
+    # tolerance), between them, and on a float grid far from t=0
+    offsets = [0.0, 1e-12, -1e-12, 0.5e-12, -0.5e-12, 1.5e-12, -1.5e-12, 1e-13, -1e-13]
+    for clock_freq, phase in ((201e3, 0.0), (201e3, 2.3e-6), (10.0, 0.0), (1.0, 0.3), (3.0, 0.0)):
+        t_clk = 1.0 / clock_freq
+        edges = [phase + k * t_clk for k in range(40)] + [k * t_clk for k in range(10**6, 10**6 + 40)]
+        t_req = [e + d for e in edges for d in offsets]
+        t_req += [e + f * t_clk for e in edges for f in (0.25, 0.5, 0.999)]
+        t_req = [t for t in t_req if t >= 0.0]
+        vector = engine._ack_times(np.asarray(t_req), clock_freq, phase)
+        assert vector.tolist() == [ack_time(t, clock_freq, phase) for t in t_req]
+
+
 def test_initial_state_floor_rule():
     cfg = AdcConfig(delta=1.0, level_count=32, v_min=0.0, clock_freq=1000.0)
     code = initial_code(cfg, Constant(5.3))
@@ -75,6 +94,22 @@ def test_initial_state_edges():
     assert initial_code(cfg, Constant(0.0)) == 0
     assert initial_code(cfg, Constant(31.999)) == 31
     assert initial_code(cfg, Constant(32.0)) == 31  # ceiling lands on top
+
+
+@pytest.mark.parametrize(
+    "v_min, delta, v0",
+    [
+        (-16.0, 1.0, -1e-17),  # (v0 - v_min) / delta rounds up to 16
+        (-11.478909064550884, 0.7, 8.821090935449115),  # rounds down past a level
+    ],
+)
+def test_initial_window_holds_the_input(v_min, delta, v0):
+    cfg = AdcConfig(delta=delta, level_count=64, v_min=v_min, clock_freq=201e3)
+    lo, hi = cfg.window(initial_code(cfg, Constant(v0)))
+    assert lo <= v0 <= hi
+    # the loop starts its first search from that window
+    simulate(cfg, Constant(v0), 1e-3)
+    simulate(cfg, Sine(1.0, 1000.0, offset=v0), 1e-3)
 
 
 def test_initial_state_out_of_range():
@@ -300,6 +335,16 @@ def test_trace_json_schema():
     assert ev["dir"] in ("up", "down")
 
 
+def test_to_json_renders_the_columns_as_json_dumps_does():
+    # catch-up events, a settle time (t_on != t_ack) and rail intervals
+    cfg = default_config(clock_phase=1.7e-6, settle_time=0.3e-6)
+    f_max = max_frequency(16.0, cfg.delta, cfg.t_clk)
+    for spec in (Sine(16.0, 1.5 * f_max), Sine(10.0, 300.0, offset=9.0), Constant(0.5)):
+        tr = simulate(cfg, spec, 0.01)
+        assert tr.to_json() == json.dumps(tr.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert tr.to_json_dict()["events"] == []
+
+
 def test_simulate_sampled_waveform_matches_reference():
     cfg = AdcConfig(delta=1.0, level_count=16, v_min=-8.0, clock_freq=50000.0)
     rng = random.Random(19)
@@ -413,6 +458,7 @@ def test_rail_crossing_at_span_end_is_recorded():
 
 
 def _search_evaluate_calls(monkeypatch, spec, t_end):
+    engine._sine_requests.cache_clear()  # a sine's searches run on a cold memo
     calls = 0
     real = signals.evaluate
 
@@ -435,3 +481,108 @@ def test_search_work_is_pinned(monkeypatch):
     assert (len(trace.events), len(trace.saturation), calls) == (686, 7, 1799)
     trace, calls = _search_evaluate_calls(monkeypatch, Sine(16.0, 1000.0), 0.01)
     assert (len(trace.events), len(trace.saturation), calls) == (619, 0, 1241)
+
+
+def _loop_trace(config, spec, t_end):
+    """The conversion loop alone from t=0, without the shared request
+    sequence a sine input otherwise takes."""
+    record = engine._Record()
+    code = initial_code(config, spec)
+    engine._serve(config, spec, t_end, record, code, 0.0, None, None)
+    return record.trace(config, code, t_end)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    amplitude=st.floats(1.0, 18.0),
+    offset=st.floats(-6.0, 6.0),
+    speed=st.floats(0.05, 2.0),
+    sine_phase=st.floats(0.0, 6.28),
+    clocks=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
+    settle=st.sampled_from([0.0, 0.0, 1e-6, 2e-6]) | st.floats(0.0, 2e-6),
+    periods=st.floats(0.3, 5.0),
+)
+def test_lockstep_matches_event_loop(
+    amplitude, offset, speed, sine_phase, clocks, settle, periods
+):
+    # frequency up to twice the tracking limit, offsets that drive some runs
+    # into a rail; runs at a few clock phases share the recorded requests,
+    # and each must give the loop's trace byte for byte, as must a rerun
+    # that hits the memo
+    base = default_config()
+    assume(abs(offset + amplitude * math.sin(sine_phase)) < 15.9)
+    frequency = speed * max_frequency(amplitude, base.delta, base.t_clk)
+    spec = Sine(amplitude, frequency, phase=sine_phase, offset=offset)
+    t_end = periods / frequency
+    engine._sine_requests.cache_clear()
+    for clock in clocks:
+        cfg = replace(base, clock_phase=clock * base.t_clk, settle_time=settle)
+        assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
+    again = simulate(cfg, spec, t_end).to_json()
+    engine._sine_requests.cache_clear()
+    assert simulate(cfg, spec, t_end).to_json() == again
+
+
+def test_lockstep_skips_excursions_inside_the_off_time():
+    # a 0.1 V sine at 150 kHz, inside the tracking limit, crosses the 0 V
+    # level 80 times in 40 periods.  A power-up often finds the input back
+    # inside the shifted window after it crossed out and in again while the
+    # comparators were off: the loop never sees those two crossings.  Which
+    # ones it misses depends on the clock phase, so the requests recorded
+    # at one phase (here one without catch-ups, which records them all)
+    # serve another only as far as the certificate allows
+    base = default_config()
+    spec = Sine(0.1, 150e3, offset=0.03)
+    t_end = 40 / spec.frequency
+    recorder = replace(base, clock_phase=0.5 * base.t_clk)
+    assert not _loop_trace(recorder, spec, t_end).immediate.any()
+    quiet = 0
+    for i in range(20):
+        cfg = replace(base, clock_phase=i / 20 * base.t_clk)
+        expected = _loop_trace(cfg, spec, t_end)
+        engine._sine_requests.cache_clear()
+        simulate(recorder, spec, t_end)
+        assert simulate(cfg, spec, t_end).to_json() == expected.to_json()
+        assert len(expected.t_req) < 80
+        quiet += not expected.immediate.any()
+    assert quiet >= 5
+
+
+def test_runs_leaving_the_shared_requests_early_record_nothing():
+    # just past the tracking limit each clock phase meets its first catch-up
+    # at a different request: phase 0 records 867 requests before its own,
+    # and the later runs, which leave the sequence earlier, add none
+    base = default_config()
+    spec = Sine(16.0, 1.01 * max_frequency(16.0, base.delta, base.t_clk))
+    t_end = 20 / spec.frequency
+    engine._sine_requests.cache_clear()
+    for i in (0, 11, 17, 5):
+        cfg = replace(base, clock_phase=i / 20 * base.t_clk)
+        assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
+    grid = replace(base, clock_freq=1.0)
+    requests = engine._sine_requests(spec, grid, t_end)
+    assert len(requests.rows) == 867 and not requests.complete
+
+
+def test_monte_carlo_searches_once_per_shared_request(monkeypatch):
+    # 20 clock phases at the stock point share one request sequence: the
+    # crossing search runs once per request (plus the last search, which
+    # finds no exit before t_end), not once per trial
+    calls = 0
+    real = signals._exit
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    spec = Sine(16.0, 1000.0)
+    t_end = 10.25e-3
+    monkeypatch.setattr(signals, "_exit", counting)
+    engine._sine_requests.cache_clear()
+    stats = monte_carlo_off_time(default_config(), spec, t_end, trials=20, seed=1)
+    assert stats.n_events == 20 * 635
+    assert calls == 635 + 1
+    # the same sequence serves another run at the same point
+    simulate(default_config(clock_phase=1e-6), spec, t_end)
+    assert calls == 635 + 1

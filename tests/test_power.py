@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from lcadc.engine import AdcConfig, CrossingEvent, Trace, simulate
+from lcadc.engine import AdcConfig, Trace, simulate
 from lcadc.power import (
     EVENT_ENERGY_BREAKEVEN_201K,
     ModelDomainError,
@@ -14,38 +15,44 @@ from lcadc.power import (
     mean_off_time,
     measure,
 )
-from lcadc.signals import Constant, Direction, Sine
+from lcadc.signals import Constant, Sine
 from tests.reference import count_level_crossings
 
 
 def make_trace(off_durations, t_end, clock_freq=200000.0, gap=None):
     """Synthetic trace with the given off durations, events well separated."""
     cfg = AdcConfig(delta=1.0, level_count=64, v_min=0.0, clock_freq=clock_freq)
-    gap = gap if gap is not None else t_end / (len(off_durations) + 1)
-    events = []
-    code = 0
-    for i, d in enumerate(off_durations):
-        t_req = (i + 0.5) * gap
-        events.append(
-            CrossingEvent(
-                t_req=t_req,
-                direction=Direction.UP,
-                code_before=code,
-                code_after=code + 1,
-                t_ack=t_req + d,
-                t_on=t_req + d,
-            )
-        )
-        code += 1
+    n = len(off_durations)
+    gap = gap if gap is not None else t_end / (n + 1)
+    t_req = (np.arange(n) + 0.5) * gap
+    t_on = t_req + np.asarray(off_durations, dtype=float)
     return Trace(
         config=cfg,
         initial_code=0,
-        events=tuple(events),
+        t_req=t_req,
+        t_ack=t_on,
+        t_on=t_on,
+        code_after=np.arange(1, n + 1),
+        dir=np.ones(n, dtype=np.int8),
+        immediate=np.zeros(n, dtype=bool),
         saturation=(),
         overload=False,
         overload_time=None,
         t_end=t_end,
     )
+
+
+def test_measure_off_time_adds_left_to_right():
+    # measure sums the clipped off intervals in event order, as a += loop
+    # over the events does; a pairwise or compensated sum rounds differently
+    rng = np.random.default_rng(11)
+    trace = make_trace(rng.uniform(5e-6, 1e-5, 4000), t_end=0.05, gap=1.25e-5)
+    expected = 0.0
+    for ev in trace.events:
+        expected += min(ev.t_on, trace.t_end) - min(ev.t_req, trace.t_end)
+    off = np.minimum(trace.t_on, trace.t_end) - np.minimum(trace.t_req, trace.t_end)
+    assert float(np.sum(off)) != expected  # the data tells the orders apart
+    assert measure(trace, PowerParams()).t_off == expected
 
 
 def test_params_validation():

@@ -129,8 +129,18 @@ def test_sum_of_sines_requires_tones():
 def test_sampled_signal():
     run = parse(
         "signal.type = sampled\nsignal.sample_period = 1m\nsignal.values = 0, 0.5, 1.5\n"
+        "run.t_end = 2m\n"
     )
     assert run.signal == Sampled(sample_period=1e-3, values=(0.0, 0.5, 1.5))
+
+
+def test_sampled_span_must_cover_the_run():
+    text = "signal.type = sampled\nsignal.sample_period = 1m\nsignal.values = 0, 0.5, 1.5\n"
+    with pytest.raises(ConfigFileError) as err:
+        parse(text + "run.t_end = 2.1m\n")
+    assert "run.t_end" in str(err.value) and "line 4" in str(err.value)
+    with pytest.raises(ConfigFileError):
+        parse(text)  # the default 200 ms span
 
 
 def test_sampled_requires_values():

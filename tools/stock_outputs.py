@@ -7,10 +7,12 @@ Usage::
 Runs ``simulate``, ``sweep frequency --grid 100:1k:20:log``, ``boundary
 --clocks 100k,201k,402k``, ``table1`` (JSON and markdown) and ``montecarlo
 --trials 5`` in-process, with no config file (the built-in stock operating
-point), into OUT_DIR.  One more ``simulate`` runs a sum of sines from the
-config file ``sum_of_sines.cfg``, which it writes into OUT_DIR, and puts its
-outputs in OUT_DIR/sum_of_sines; that input exercises the generic crossing
-search that the all-sine stock runs never reach.  Prints one ``sha256
+point), into OUT_DIR.  Two more ``simulate`` runs read config files that
+this script writes into OUT_DIR, and put their outputs in a directory of the
+same name: ``sum_of_sines`` exercises the generic crossing search that the
+all-sine stock runs never reach, and ``sine_past_limit``, a full-scale sine
+at 1.5 kHz, past the tracking limit, exercises the event loop that takes
+over from a sine's shared request sequence.  Prints one ``sha256
 name`` line per written file (path relative to OUT_DIR) and per captured
 stdout, sorted by name.  OUT_DIR is replaced by a fixed token in
 the captured stdout, so two listings made into different directories, say
@@ -36,6 +38,20 @@ signal.offset = 3.965439903
 run.t_end = 10m
 """
 
+# Full scale at 1.5 kHz, 1.5 times the tracking limit at the 201 kHz clock:
+# catch-up requests from the first crossings on, and the overload flag.
+SINE_PAST_LIMIT_CONFIG = """\
+signal.type = sine
+signal.amplitude = 16
+signal.frequency = 1.5k
+run.t_end = 10m
+"""
+
+CONFIGS = {
+    "sum_of_sines.cfg": SUM_OF_SINES_CONFIG,
+    "sine_past_limit.cfg": SINE_PAST_LIMIT_CONFIG,
+}
+
 # {out} stands for OUT_DIR
 COMMANDS = (
     ("simulate", ["simulate", "--out", "{out}"]),
@@ -47,6 +63,10 @@ COMMANDS = (
     (
         "simulate_sum_of_sines",
         ["simulate", "--config", "{out}/sum_of_sines.cfg", "--out", "{out}/sum_of_sines"],
+    ),
+    (
+        "simulate_sine_past_limit",
+        ["simulate", "--config", "{out}/sine_past_limit.cfg", "--out", "{out}/sine_past_limit"],
     ),
 )
 
@@ -62,8 +82,9 @@ def run_all(out: str) -> dict[str, str]:
     from lcadc.cli import main
 
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "sum_of_sines.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(SUM_OF_SINES_CONFIG)
+    for name, text in CONFIGS.items():
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     digests = {}
     for name, argv in COMMANDS:
         buf = io.StringIO()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .signals import (
     SignalSpec,
     Sine,
     WindowStartError,
+    _evaluate_array,
     _sine_stable_until,
     evaluate,
     next_window_entry,
@@ -104,7 +105,7 @@ class AdcConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingEvent:
     """One served level crossing.
 
@@ -136,6 +137,10 @@ class CrossingEvent:
             "t_on": self.t_on,
             "immediate": self.immediate,
         }
+
+
+# setters of CrossingEvent's slots, in field order
+_EVENT_SLOTS = tuple(getattr(CrossingEvent, f.name).__set__ for f in fields(CrossingEvent))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,17 +185,29 @@ class Trace:
 
     @functools.cached_property
     def events(self) -> tuple[CrossingEvent, ...]:
-        return tuple(
-            CrossingEvent(t_req, _DIRECTIONS[step], code - step, code, t_ack, t_on, immediate)
-            for t_req, step, code, t_ack, t_on, immediate in zip(
-                self.t_req.tolist(),
-                self.dir.tolist(),
-                self.code_after.tolist(),
-                self.t_ack.tolist(),
-                self.t_on.tolist(),
-                self.immediate.tolist(),
-            )
-        )
+        # each view is filled through its slots, past the frozen __init__'s
+        # seven object.__setattr__ calls
+        new = object.__new__
+        set_req, set_dir, set_before, set_after, set_ack, set_on, set_immediate = _EVENT_SLOTS
+        events = []
+        for t_req, step, code, t_ack, t_on, immediate in zip(
+            self.t_req.tolist(),
+            self.dir.tolist(),
+            self.code_after.tolist(),
+            self.t_ack.tolist(),
+            self.t_on.tolist(),
+            self.immediate.tolist(),
+        ):
+            event = new(CrossingEvent)
+            set_req(event, t_req)
+            set_dir(event, _DIRECTIONS[step])
+            set_before(event, code - step)
+            set_after(event, code)
+            set_ack(event, t_ack)
+            set_on(event, t_on)
+            set_immediate(event, immediate)
+            events.append(event)
+        return tuple(events)
 
     def to_json_dict(self) -> dict:
         return self._document([ev.to_json_dict() for ev in self.events])
@@ -543,10 +560,10 @@ def _lockstep(
 
 
 def _inside(spec: Sine, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """lo <= evaluate(spec, t) <= hi for each element.  numpy's sine may
-    differ from ``math.sin`` in the last bits, so values within a guard of
-    a boundary are rechecked with the scalar ``evaluate``."""
-    v = spec.offset + spec.amplitude * np.sin(2.0 * math.pi * spec.frequency * t + spec.phase)
+    """lo <= evaluate(spec, t) <= hi for each element.  Values within a
+    guard of a boundary, where the last bits of ``_evaluate_array``'s sine
+    could decide, are rechecked with the scalar ``evaluate``."""
+    v = _evaluate_array(spec, t)
     inside = (lo <= v) & (v <= hi)
     guard = _VALUE_GUARD * max(1.0, abs(spec.offset) + spec.amplitude)
     for j in np.flatnonzero((np.abs(v - lo) <= guard) | (np.abs(v - hi) <= guard)):
@@ -570,20 +587,11 @@ def tracking_error(
 ) -> tuple[float, float]:
     """(max absolute, rms) error between the reconstruction and the input,
     sampled on a uniform grid over the simulated span."""
-    steps = reconstruct(trace)
-    times = [t for t, _ in steps]
-    values = [v for _, v in steps]
     n = max(grid_points, 2)
-    dt = trace.t_end / (n - 1)
-    j = 0
-    max_err = 0.0
-    sq_sum = 0.0
-    for i in range(n):
-        t = i * dt
-        while j + 1 < len(times) and times[j + 1] <= t:
-            j += 1
-        err = evaluate(spec, t) - values[j]
-        if abs(err) > max_err:
-            max_err = abs(err)
-        sq_sum += err * err
-    return max_err, math.sqrt(sq_sum / n)
+    t = np.arange(n) * (trace.t_end / (n - 1))
+    cfg = trace.config
+    codes = np.concatenate(([trace.initial_code], trace.code_after))
+    levels = cfg.v_min + (codes + 0.5) * cfg.delta
+    # the code held at t is the one after the last ACK at or before t
+    err = _evaluate_array(spec, t) - levels[np.searchsorted(trace.t_ack, t, side="right")]
+    return float(np.abs(err).max()), math.sqrt(float(err @ err) / n)

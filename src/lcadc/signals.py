@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 TIME_ABS_TOL = 1e-12  # absolute time resolution, seconds
 TIME_REL_TOL = 1e-9   # relative time resolution
 
@@ -151,6 +153,44 @@ def evaluate(spec: SignalSpec, t: float) -> float:
     raise TypeError(f"unknown signal spec {type(spec).__name__}")
 
 
+def _evaluate_array(spec: SignalSpec, t: np.ndarray) -> np.ndarray:
+    """``evaluate`` at every element of the float array ``t``.
+
+    Constants, ramps and sampled waveforms repeat the scalar float
+    operations, so each element equals ``evaluate`` bit for bit, and a
+    sampled waveform raises OutOfSpanError for the same times.  Sines and
+    sums of sines repeat them too, but numpy's sine may differ from
+    ``math.sin`` in the last bits.
+    """
+    if isinstance(spec, Sine):
+        return spec.offset + spec.amplitude * np.sin(
+            2.0 * math.pi * spec.frequency * t + spec.phase
+        )
+    if isinstance(spec, Constant):
+        return np.full(t.shape, float(spec.value))
+    if isinstance(spec, Ramp):
+        return spec.start + spec.slope * t
+    if isinstance(spec, SumOfSines):
+        acc = np.full(t.shape, float(spec.offset))
+        for a, f, p in spec.tones:
+            acc += a * np.sin(2.0 * math.pi * f * t + p)
+        return acc
+    if isinstance(spec, Sampled):
+        span = spec.span
+        outside = (t < -TIME_ABS_TOL) | (t > span + TIME_ABS_TOL)
+        if outside.any():
+            bad = float(t[np.flatnonzero(outside)[0]])
+            raise OutOfSpanError(f"t={bad} outside sampled span [0, {span}]")
+        # min and max as the builtins pick, signed zeros included
+        clipped = np.where(0.0 > t, 0.0, t)
+        x = np.where(span < clipped, span, clipped) / spec.sample_period
+        i = np.minimum(x.astype(np.int64), len(spec.values) - 2)
+        frac = x - i
+        values = np.asarray(spec.values)
+        return values[i] + (values[i + 1] - values[i]) * frac
+    raise TypeError(f"unknown signal spec {type(spec).__name__}")
+
+
 def _time_tol(t: float) -> float:
     return max(TIME_ABS_TOL, TIME_REL_TOL * abs(t))
 
@@ -259,13 +299,13 @@ def _exit(
         return None
     t = t_from
     v = v0
+    slope = sum(a * w * math.cos(w * t + p) for a, w, p in tones)
     while True:
-        slope = sum(a * w * math.cos(w * t + p) for a, w, p in tones)
         step = min(
             _reach(hi - v, slope, curvature), _reach(v - lo, -slope, curvature)
         )
         t_next = min(t + max(step, _time_tol(t) * _ROOT_STEP_FRACTION), horizon)
-        v = evaluate(spec, t_next)
+        v, slope = _envelope_step(spec.offset, tones, t_next)
         if v > hi:
             return _bisect_beyond(spec, t, t_next, hi, True), Direction.UP
         if v < lo:
@@ -273,6 +313,22 @@ def _exit(
         if t_next >= horizon:
             return None
         t = t_next
+
+
+def _envelope_step(
+    offset: float, tones: list[tuple[float, float, float]], t: float
+) -> tuple[float, float]:
+    """Value and slope at ``t`` of a sum of sines given as (amplitude,
+    angular frequency, phase) tones, in one pass.  w*t rounds as
+    ``evaluate``'s 2*pi*f*t, and the tones are added in its order, so the
+    value is ``evaluate``'s bit for bit."""
+    v = offset
+    slope = 0.0
+    for a, w, p in tones:
+        x = w * t + p
+        v += a * math.sin(x)
+        slope += a * w * math.cos(x)
+    return v, slope
 
 
 def _reach(gap: float, rate: float, curvature: float) -> float:

@@ -21,7 +21,7 @@ from lcadc.engine import (
 )
 from lcadc.analysis import max_frequency
 from lcadc.signals import Constant, Direction, Ramp, Sampled, Sine, SumOfSines
-from tests.reference import count_all_crossings, reference_simulate
+from tests.reference import count_all_crossings, eval_grid, reference_simulate
 
 
 def default_config(**kw) -> AdcConfig:
@@ -307,6 +307,42 @@ def test_tracking_error_past_limit_blows_the_bound():
     assert max_err > 2.0 * cfg.delta
 
 
+def _reference_tracking_error(trace, spec, grid_points):
+    """tracking_error from the oracle's waveform values and a walk over the
+    events for the code held at each grid time."""
+    cfg = trace.config
+    dt = trace.t_end / (grid_points - 1)
+    times = [i * dt for i in range(grid_points)]
+    held = []
+    code, j = trace.initial_code, 0
+    for t in times:
+        while j < len(trace.events) and trace.events[j].t_ack <= t:
+            code = trace.events[j].code_after
+            j += 1
+        held.append(cfg.v_min + (code + 0.5) * cfg.delta)
+    err = eval_grid(spec, np.array(times)) - np.array(held)
+    return float(np.abs(err).max()), math.sqrt(float(np.mean(err * err)))
+
+
+@pytest.mark.parametrize(
+    "spec, t_end",
+    [
+        (Sine(15.0, 900.0, phase=0.2, offset=0.5), 0.01),
+        (SumOfSines(((5.0, 700.0, 0.3), (3.0, 1500.0, 1.1), (2.0, 2500.0, 2.0)), offset=1.0), 0.01),
+        (Ramp(start=-10.0, slope=2000.0), 0.015),  # into the top rail at 13 ms
+        (Sampled(1e-4, tuple(12.0 * math.sin(0.37 * k * k) for k in range(101))), 0.01),
+    ],
+)
+def test_tracking_error_matches_reference(spec, t_end):
+    cfg = default_config(clock_phase=1.7e-6)
+    trace = simulate(cfg, spec, t_end)
+    assert len(trace.events) > 20
+    for grid_points in (2, 777, 10_000):
+        got = tracking_error(trace, spec, grid_points)
+        want = _reference_tracking_error(trace, spec, grid_points)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
 def test_simulate_deterministic():
     cfg = default_config(clock_phase=1.23e-6)
     tr1 = simulate(cfg, FULL_SCALE, 0.01)
@@ -457,29 +493,37 @@ def test_rail_crossing_at_span_end_is_recorded():
         assert tr.saturation in ((), ((t_end, t_end),))
 
 
-def _search_evaluate_calls(monkeypatch, spec, t_end):
+def _search_work(monkeypatch, spec, t_end):
+    """A trace with the evaluate calls and the curvature-envelope steps made
+    inside its crossing searches."""
     engine._sine_requests.cache_clear()  # a sine's searches run on a cold memo
-    calls = 0
-    real = signals.evaluate
+    calls = {"evaluate": 0, "_envelope_step": 0}
 
-    def counting(s, t):
-        nonlocal calls
-        calls += 1
-        return real(s, t)
+    def counting(name):
+        real = getattr(signals, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
 
     with monkeypatch.context() as m:
-        m.setattr(signals, "evaluate", counting)
+        for name in calls:
+            m.setattr(signals, name, counting(name))
         trace = simulate(default_config(), spec, t_end)
-    return trace, calls
+    return trace, calls["evaluate"], calls["_envelope_step"]
 
 
 def test_search_work_is_pinned(monkeypatch):
-    # exact evaluate counts inside the crossing search at the stock
-    # converter; a search that does different work changes them
+    # exact work counts inside the crossing search at the stock converter; a
+    # search that does different work changes them.  A sum of sines
+    # evaluates at each search's start and in bisection; each envelope step
+    # takes value and slope in its own pass over the tones
     spec = SumOfSines(tones=((10.0, 1000.0, 0.0), (7.0, 2300.0, 0.4)))
-    trace, calls = _search_evaluate_calls(monkeypatch, spec, 0.01)
-    assert (len(trace.events), len(trace.saturation), calls) == (686, 7, 1799)
-    trace, calls = _search_evaluate_calls(monkeypatch, Sine(16.0, 1000.0), 0.01)
+    trace, calls, steps = _search_work(monkeypatch, spec, 0.01)
+    assert (len(trace.events), len(trace.saturation), calls, steps) == (686, 7, 328, 1471)
+    trace, calls, _ = _search_work(monkeypatch, Sine(16.0, 1000.0), 0.01)
     assert (len(trace.events), len(trace.saturation), calls) == (619, 0, 1241)
 
 

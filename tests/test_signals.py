@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -19,6 +19,7 @@ from lcadc.signals import (
     Sine,
     SumOfSines,
     WindowStartError,
+    _evaluate_array,
     evaluate,
     next_window_entry,
     next_window_exit,
@@ -57,6 +58,65 @@ def test_evaluate_sampled_out_of_span():
         evaluate(spec, 1.5)
     with pytest.raises(OutOfSpanError):
         evaluate(spec, -0.5)
+
+
+_VOLTS = st.floats(-20.0, 20.0)
+_TONES = st.tuples(st.floats(0.0, 16.0), st.floats(1.0, 1e5), st.floats(0.0, 6.3))
+
+
+@st.composite
+def _specs(draw):
+    kind = draw(st.sampled_from((Sine, Constant, Ramp, SumOfSines, Sampled)))
+    if kind is Sine:
+        amplitude, frequency, phase = draw(_TONES)
+        return Sine(amplitude, frequency, phase, offset=draw(_VOLTS))
+    if kind is Constant:
+        return Constant(draw(_VOLTS))
+    if kind is Ramp:
+        return Ramp(draw(_VOLTS), draw(st.floats(-1e6, 1e6)))
+    if kind is SumOfSines:
+        return SumOfSines(draw(st.lists(_TONES, min_size=1, max_size=4)), offset=draw(_VOLTS))
+    period = draw(st.floats(1e-6, 1e-2))
+    return Sampled(period, draw(st.lists(_VOLTS, min_size=2, max_size=40)))
+
+
+def _raises_out_of_span(f) -> bool:
+    try:
+        f()
+    except OutOfSpanError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_specs(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+@example(spec=Sampled(1e-3, (-0.0, 1.0)), fractions=[0.0])  # -0.0 + 1.0 * -0.0 at t = -0.0
+def test_evaluate_array_matches_scalar(spec, fractions):
+    # bit for bit on constants, ramps and sampled waveforms, sample nodes and
+    # signed zeros included; within 1e-12 V on sines, whose numpy sine may
+    # round differently from math.sin
+    if isinstance(spec, Sampled):
+        span = spec.span
+        nodes = [j * spec.sample_period for j in range(len(spec.values))]
+        times = [u * span for u in fractions] + nodes + [-0.0, span]
+    else:
+        times = [u * 0.05 for u in fractions] + [-0.0]
+    got = _evaluate_array(spec, np.array(times))
+    want = [evaluate(spec, t) for t in times]
+    assert got.shape == (len(times),)
+    if isinstance(spec, (Sine, SumOfSines)):
+        assert np.abs(got - want).max() <= 1e-12
+    else:
+        assert [float(v).hex() for v in got] == [v.hex() for v in want]
+    if isinstance(spec, Sampled):
+        # raises for the same times as evaluate, just inside and just
+        # outside either end of the span
+        end, start = span + TIME_ABS_TOL, -TIME_ABS_TOL
+        for t in (end, start, math.nextafter(end, math.inf), math.nextafter(start, -math.inf),
+                  span + 2 * TIME_ABS_TOL, -2 * TIME_ABS_TOL):
+            assert _raises_out_of_span(lambda: _evaluate_array(spec, np.array([0.0, t]))) == (
+                _raises_out_of_span(lambda: evaluate(spec, t))
+            )
 
 
 def test_spec_validation():

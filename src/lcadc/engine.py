@@ -88,11 +88,15 @@ class AdcConfig:
     @property
     def input_limit(self) -> float:
         """Comparator input ceiling: top of the conversion range."""
-        return self.v_min + self.level_count * self.delta
+        return self.level(self.level_count)
+
+    def level(self, code):
+        """Level ``code``, the bottom of its window; elementwise on arrays."""
+        return self.v_min + code * self.delta
 
     def window(self, code: int) -> tuple[float, float]:
-        lo = self.v_min + code * self.delta
-        return lo, lo + self.delta
+        # both bounds from the grid, so adjacent windows share a boundary
+        return self.level(code), self.level(code + 1)
 
     def to_json_dict(self) -> dict:
         return {
@@ -318,34 +322,41 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
 
     A sine input first takes the lockstep path.  Its window exits do not
     depend on the clock as long as each power-up finds the input inside the
-    shifted window before its next exit.  So the loop records the requests
-    it finds, up to its first catch-up, in a sequence shared by every run on
-    the same input, level grid and span; the last one is kept, and a Monte
-    Carlo run over clock phases searches once.  A run that finds requests
-    recorded computes all their ACK times at once with a vectorized
-    ``ack_time`` and certifies each served request.  Its power-up, and the
-    start of the recorded search that followed it, must both lie before the
+    shifted window before its next exit.  So the requests a run served
+    before its first catch-up request serve every run on the same input,
+    level grid and span.  They are read from the run's finished trace, and
+    the loop records nothing; of the runs that went through it, the one
+    whose first catch-up comes latest is kept, and a Monte Carlo run over
+    clock phases searches once.  A run that finds a kept trace computes the
+    ACK times of its requests at once with a vectorized ``ack_time`` and
+    certifies each served request.  Its power-up, and the kept run's, where
+    that run's next search started, must both lie before the
     ``_sine_stable_until`` bound from the request.  The power-up must also
     find the input inside the shifted window; values within 1e-9 of full
     scale of a boundary are rechecked with the scalar ``evaluate``.  The
-    loop's own search from such a power-up returns exactly the recorded next
+    loop's own search from such a power-up returns exactly the kept next
     request, so the certified prefix is the loop's trace bit for bit.  The
     loop takes over after the first request that fails, from its code,
-    power-up time and direction, and records on if no later request was
-    recorded.  Past the tracking limit a catch-up comes within a few events,
-    so little is recorded and later runs fall back early.  Other waveforms
-    run the loop from t=0.
+    power-up time and direction.  Past the tracking limit a catch-up comes
+    within a few events, so later runs fall back early.  Other waveforms run
+    the loop from t=0.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     code = initial_code(config, spec)
     record = _Record()
-    resume = (code, 0.0, None, None)
+    requests = None
+    resume = (code, 0.0, None)
     if isinstance(spec, Sine):
-        resume = _lockstep(config, spec, t_end, record, code)
+        grid = replace(config, clock_freq=1.0, clock_phase=0.0, settle_time=0.0)
+        requests = _sine_requests(spec, grid, t_end)
+        resume = _lockstep(config, spec, record, code, requests)
     if resume is not None:
         _serve(config, spec, t_end, record, *resume)
-    return record.trace(config, code, t_end)
+    trace = record.trace(config, code, t_end)
+    if resume is not None and requests is not None:
+        requests.offer(trace)
+    return trace
 
 
 class _Record:
@@ -391,26 +402,21 @@ def _serve(
     code: int,
     now: float,
     served: Direction | None,
-    requests: _SineRequests | None,
 ) -> None:
     """The conversion loop from ``now`` to t_end, into ``record``.
 
     With ``served`` set, the comparators power up at ``now`` after a
     crossing served in that direction, and the loop first checks for a
     catch-up request; otherwise they are on at ``now`` with the input inside
-    the window of ``code``.  Each request found until the first catch-up is
-    also added to ``requests``, when given.
+    the window of ``code``.
     """
     top = config.level_count - 1
     lo, hi = config.window(code)
     t_reqs, t_acks, t_ons, codes, steps, catch_ups = record.columns
     while now < t_end:
         if served is None:
-            start = now
-            found = next_window_exit(spec, start, lo, hi, t_end)
+            found = next_window_exit(spec, now, lo, hi, t_end)
             if found is None:
-                if requests is not None:
-                    requests.close(start)
                 break
             t_req, direction = found
             immediate = False
@@ -426,7 +432,6 @@ def _serve(
                 record.overload_time = now
             t_req = now
             immediate = True
-            requests = None  # what follows depends on this clock
         step = 1 if direction is Direction.UP else -1
         if not 0 <= code + step <= top:
             # range rail: window pinned, comparators stay on; a rail
@@ -436,10 +441,6 @@ def _serve(
                 t_back = next_window_entry(spec, t_req, lo, hi, t_end)
             now = t_end if t_back is None else t_back
             record.saturation.append((t_req, now))
-            if requests is not None:
-                requests.rows.append((t_req, step, code, now, start))
-                if t_back is None:
-                    requests.close(math.nan)
             served = None
             continue
         t_ack = ack_time(t_req, config.clock_freq, config.clock_phase)
@@ -451,8 +452,6 @@ def _serve(
         codes.append(code)
         steps.append(step)
         catch_ups.append(immediate)
-        if requests is not None:
-            requests.rows.append((t_req, step, code, math.nan, start))
         lo, hi = config.window(code)
         served = direction
 
@@ -461,61 +460,63 @@ class _SineRequests:
     """The requests a sine input raises on one level grid, shared by runs at
     every clock.
 
-    The event loop of whichever run first reaches a request records it,
-    until that run's first catch-up request, which depends on its clock.
-    Per request: ``t_req``; ``dir`` (+1 up, -1 down); ``code_after``, the
-    code held after it (a rail crossing leaves it); ``rail_end``, where the
-    saturation interval of a rail crossing ends (NaN for a served request);
-    and ``start``, where the search that found it started.  ``complete`` once
-    a search, started at ``last_start``, found no further exit, or a rail
-    crossing lasted to t_end.
+    They are read from a finished trace: every request its run served
+    before its first catch-up request, with the rail crossings among them.
+    Each search in that prefix started where the clock cannot move it, at
+    t=0, at the power-up after a served request, or at the end of a rail
+    crossing.  Of the traces offered, the one whose first catch-up request
+    comes latest (``reach``; inf for a trace without one) is kept.
     """
 
     def __init__(self, spec: Sine, grid: AdcConfig) -> None:
         self.spec = spec
         self.grid = grid
-        self.rows: list[tuple[float, int, int, float, float]] = []
-        self.complete = False
-        self.last_start = math.nan
-        self._stable: list[float] = []
-        self._columns: tuple = (None, ())
+        self.trace: Trace | None = None
+        self.reach = -math.inf
+        self._columns: tuple | None = None
 
-    def close(self, start: float) -> None:
-        self.complete = True
-        self.last_start = start
+    def offer(self, trace: Trace) -> None:
+        """Keep ``trace`` if its first catch-up request comes later than the
+        kept one's.  A catch-up into a rail shows as a saturation interval
+        that starts at an event's power-up; a searched rail crossing starts
+        between power-ups."""
+        starts = np.array([t for t, _ in trace.saturation], dtype=np.float64)
+        if len(starts):
+            starts = starts[np.isin(starts, trace.t_on)]
+        reach = float(np.concatenate((trace.t_req[trace.immediate], starts)).min(initial=math.inf))
+        if reach > self.reach:
+            # copies: the caller may write to the arrays of its trace
+            read = ("t_req", "t_on", "code_after", "dir")
+            trace = replace(trace, **{name: getattr(trace, name).copy() for name in read})
+            self.trace, self.reach, self._columns = trace, reach, None
 
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """t_req, dir, code_after, rail, rail_end, limit, lo and hi as
-        arrays; ``rail`` marks rail crossings, lo and hi bound the window
-        after each request.
+    def columns(self) -> tuple | None:
+        """t_req, dir, code_after, limit, lo and hi of the served requests
+        in the kept trace's catch-up-free prefix, as arrays, then the rail
+        crossings among them as (start, end) pairs; None while no trace is
+        kept.  lo and hi bound the window after each request.
 
-        A power-up before ``limit``, inside the window, finds the recorded
-        next request: ``limit`` is the ``_sine_stable_until`` bound from a
-        served request if the recorded search that followed it started
-        before that bound, else -inf, as it is for the last request while
-        the sequence is incomplete.  The bounds are computed once, when a
-        second run reads the requests.
+        A power-up before ``limit``, inside the window, finds the kept next
+        request: ``limit`` is the ``_sine_stable_until`` bound from the
+        request if the kept run's power-up after it, where its next search
+        started, came before that bound, else -inf.  It is -inf for the last
+        request if a catch-up request followed it or the span ended before a
+        search.  The bounds are computed once per kept trace, when a run
+        reads them.
         """
-        key = (len(self.rows), self.complete)
-        if self._columns[0] == key:
-            return self._columns[1]
-        grid, spec = self.grid, self.spec
-        for t_req, _, code, rail_end, _ in self.rows[len(self._stable):]:
-            stable = math.inf
-            if math.isnan(rail_end):
-                lo, hi = grid.window(code)
-                stable = _sine_stable_until(spec, t_req, lo, hi)
-            self._stable.append(stable)
-        t_req, step, code_after, rail_end, start = (np.asarray(c) for c in zip(*self.rows))
-        rail = ~np.isnan(rail_end)
-        stable = np.asarray(self._stable)
-        next_start = np.append(start[1:], self.last_start)
-        # NaN, no search recorded after the last request yet, compares false
-        limit = np.where(rail, np.inf, np.where(next_start < stable, stable, -np.inf))
-        lo = grid.v_min + code_after * grid.delta
-        columns = (t_req, step.astype(np.int8), code_after, rail, rail_end, limit, lo, lo + grid.delta)
-        self._columns = (key, columns)
-        return columns
+        trace, cut = self.trace, self.reach
+        if self._columns is None and trace is not None:
+            n = int(np.searchsorted(trace.t_req, cut))
+            t_req, t_on, code_after = trace.t_req[:n], trace.t_on[:n], trace.code_after[:n]
+            lo, hi = self.grid.level(code_after), self.grid.level(code_after + 1)
+            rows = zip(t_req.tolist(), lo.tolist(), hi.tolist())
+            stable = np.array([_sine_stable_until(self.spec, *row) for row in rows])
+            limit = np.where(t_on < stable, stable, -np.inf)
+            if n and (cut < math.inf or t_on[-1] >= trace.t_end):
+                limit[-1] = -np.inf
+            rails = [iv for iv in trace.saturation if iv[0] < cut]
+            self._columns = (t_req, trace.dir[:n], code_after, limit, lo, hi, rails)
+        return self._columns
 
 
 @functools.lru_cache(maxsize=1)
@@ -527,36 +528,30 @@ def _sine_requests(spec: Sine, grid: AdcConfig, t_end: float) -> _SineRequests:
 
 
 def _lockstep(
-    config: AdcConfig, spec: Sine, t_end: float, record: _Record, code: int
-) -> tuple[int, float, Direction | None, _SineRequests | None] | None:
-    """Serve the certified prefix of the shared request sequence at this
-    config's clock, into ``record``.  Returns the arguments ``_serve`` takes
-    over with, or None when the whole span was served (see ``simulate``)."""
-    grid = replace(config, clock_freq=1.0, clock_phase=0.0, settle_time=0.0)
-    seq = _sine_requests(spec, grid, t_end)
-    if not seq.rows:
-        return None if seq.complete else (code, 0.0, None, seq)
-    t_req, step, code_after, rail, rail_end, limit, lo, hi = seq.columns()
+    config: AdcConfig, spec: Sine, record: _Record, code: int, requests: _SineRequests
+) -> tuple[int, float, Direction | None] | None:
+    """Serve the certified prefix of the shared requests at this config's
+    clock, into ``record``.  Returns the arguments ``_serve`` takes over
+    with, or None when the whole span was served (see ``simulate``)."""
+    columns = requests.columns()
+    if columns is None:
+        return code, 0.0, None
+    t_req, step, code_after, limit, lo, hi, rails = columns
     t_ack = _ack_times(t_req, config.clock_freq, config.clock_phase)
     t_on = t_ack + config.settle_time
-    certified = (t_on < limit) & (rail | _inside(spec, t_on, lo, hi))
-    failed = np.flatnonzero(~certified)
+    failed = np.flatnonzero(~((t_on < limit) & _inside(spec, t_on, lo, hi)))
     end = int(failed[0]) + 1 if len(failed) else len(t_req)
-    served = ~rail[:end]
     record.prefix = tuple(
-        column[:end][served]
+        column[:end]
         for column in (t_req, t_ack, t_on, code_after, step, np.zeros(end, dtype=bool))
     )
-    record.saturation.extend(zip(t_req[:end][~served].tolist(), rail_end[:end][~served].tolist()))
     if not len(failed):
+        record.saturation.extend(rails)
         return None
+    # the loop takes over after request j, before the rail crossings after it
     j = end - 1
-    # the run takes over after request j, and records from there on if j
-    # is the last one recorded
-    extend = seq if j == len(t_req) - 1 and not seq.complete else None
-    if rail[j]:
-        return int(code_after[j]), float(rail_end[j]), None, extend
-    return int(code_after[j]), float(t_on[j]), _DIRECTIONS[int(step[j])], extend
+    record.saturation.extend(iv for iv in rails if iv[0] < t_req[j])
+    return int(code_after[j]), float(t_on[j]), _DIRECTIONS[int(step[j])]
 
 
 def _inside(spec: Sine, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -146,7 +146,8 @@ def evaluate(spec: SignalSpec, t: float) -> float:
         span = spec.span
         if t < -TIME_ABS_TOL or t > span + TIME_ABS_TOL:
             raise OutOfSpanError(f"t={t} outside sampled span [0, {span}]")
-        x = min(max(t, 0.0), span) / spec.sample_period
+        # span / sample_period can round past the last sample index
+        x = min(min(max(t, 0.0), span) / spec.sample_period, len(spec.values) - 1)
         i = min(int(x), len(spec.values) - 2)
         frac = x - i
         return spec.values[i] + (spec.values[i + 1] - spec.values[i]) * frac
@@ -184,6 +185,8 @@ def _evaluate_array(spec: SignalSpec, t: np.ndarray) -> np.ndarray:
         # min and max as the builtins pick, signed zeros included
         clipped = np.where(0.0 > t, 0.0, t)
         x = np.where(span < clipped, span, clipped) / spec.sample_period
+        last = len(spec.values) - 1
+        x = np.where(last < x, last, x)
         i = np.minimum(x.astype(np.int64), len(spec.values) - 2)
         frac = x - i
         values = np.asarray(spec.values)

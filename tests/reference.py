@@ -133,8 +133,8 @@ def reference_simulate(config, spec, t_end, step):
     top = config.level_count - 1
 
     def window(c):
-        lo = config.v_min + c * config.delta
-        return lo, lo + config.delta
+        # both bounds from the grid, as the engine takes them
+        return config.v_min + c * config.delta, config.v_min + (c + 1) * config.delta
 
     lo, hi = window(code)
     events: list[RefEvent] = []

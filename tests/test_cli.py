@@ -59,6 +59,21 @@ def test_simulate_constant_signal_zero_off(tmp_path):
     assert report["n_cross"] == 0
 
 
+def test_simulate_constant_between_float_sums_of_adjacent_windows(tmp_path):
+    # on the 0.1 V grid from -1.6 V, v_min + 18*delta + delta rounds to
+    # 0.29999999999999993 and v_min + 19*delta to 0.30000000000000004: a
+    # 0.3 V input must still lie in a window
+    cfg = write_config(
+        tmp_path,
+        "signal.type = constant\nsignal.value = 0.3\n"
+        "adc.delta = 0.1\nadc.v_min = -1.6\nrun.t_end = 10m\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+    trace = json.loads((tmp_path / "out" / "trace.json").read_text())
+    assert trace["initial_code"] == 18 and trace["events"] == []
+
+
 def test_simulate_byte_identical_outputs(tmp_path):
     cfg = write_config(tmp_path, DEFAULT_POINT)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -112,6 +112,27 @@ def test_initial_window_holds_the_input(v_min, delta, v0):
     simulate(cfg, Sine(1.0, 1000.0, offset=v0), 1e-3)
 
 
+def test_adjacent_windows_share_a_boundary():
+    # on the 0.1 V grid from -1.6 V, level 18 plus delta rounds to
+    # 0.29999999999999993 and level 19 to 0.30000000000000004; each window
+    # takes both bounds from the grid, so no input lies between two windows.
+    # A sine rising from 0.3 V starts in window 18 and crosses into 19 at
+    # once.  The oracle floors 0.3 V into code 19 and misses that crossing;
+    # from there on the engine serves every crossing as the oracle does
+    cfg = AdcConfig(delta=0.1, level_count=32, v_min=-1.6, clock_freq=201e3)
+    for code in range(31):
+        assert cfg.window(code)[1] == cfg.window(code + 1)[0]
+    spec = Sine(0.25, 1000.0, offset=0.3)
+    trace = simulate(cfg, spec, 3e-3)
+    ref = reference_simulate(cfg, spec, 3e-3, step=1e-8)
+    first, *rest = trace.events
+    assert trace.initial_code == 18 and first.code_after == 19 and first.t_req < 1e-12
+    assert len(rest) == len(ref.events) > 20
+    for a, b in zip(rest, ref.events):
+        assert abs(a.t_req - b.t_req) <= 2e-8
+        assert (a.code_before, a.code_after) == (b.code_before, b.code_after)
+
+
 def test_initial_state_out_of_range():
     cfg = AdcConfig(delta=1.0, level_count=32, v_min=0.0, clock_freq=1000.0)
     with pytest.raises(ConfigError):
@@ -532,35 +553,51 @@ def _loop_trace(config, spec, t_end):
     sequence a sine input otherwise takes."""
     record = engine._Record()
     code = initial_code(config, spec)
-    engine._serve(config, spec, t_end, record, code, 0.0, None, None)
+    engine._serve(config, spec, t_end, record, code, 0.0, None)
     return record.trace(config, code, t_end)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     amplitude=st.floats(1.0, 18.0),
-    offset=st.floats(-6.0, 6.0),
+    offset=st.floats(-6.0, 6.0) | st.none(),
     speed=st.floats(0.05, 2.0),
     sine_phase=st.floats(0.0, 6.28),
-    clocks=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
+    delta=st.sampled_from([1.0, 0.1, 1 / 3]),
+    clocks=st.lists(
+        st.tuples(st.sampled_from([100e3, 150e3, 201e3, 402e3]), st.floats(0.0, 0.999)),
+        min_size=1,
+        max_size=4,
+    ),
     settle=st.sampled_from([0.0, 0.0, 1e-6, 2e-6]) | st.floats(0.0, 2e-6),
     periods=st.floats(0.3, 5.0),
 )
 def test_lockstep_matches_event_loop(
-    amplitude, offset, speed, sine_phase, clocks, settle, periods
+    amplitude, offset, speed, sine_phase, delta, clocks, settle, periods
 ):
-    # frequency up to twice the tracking limit, offsets that drive some runs
-    # into a rail; runs at a few clock phases share the recorded requests,
-    # and each must give the loop's trace byte for byte, as must a rerun
-    # that hits the memo
+    # frequency up to twice the tracking limit at 201 kHz, offsets that
+    # drive some runs into a rail, on integer and non-dyadic level grids;
+    # runs at a few clock frequencies and phases share the recorded requests
+    # (the memo key drops the clock), and each must give the loop's trace
+    # byte for byte, as must a rerun that hits the memo.  Amplitude and
+    # offset count levels; no offset means 0.3 V, just below level 19 of
+    # the 0.1 V grid (0.30000000000000004)
     base = default_config()
-    assume(abs(offset + amplitude * math.sin(sine_phase)) < 15.9)
+    volts = 0.3 if offset is None else offset * delta
+    assume(abs(volts + amplitude * delta * math.sin(sine_phase)) < 15.9 * delta)
     frequency = speed * max_frequency(amplitude, base.delta, base.t_clk)
-    spec = Sine(amplitude, frequency, phase=sine_phase, offset=offset)
+    spec = Sine(amplitude * delta, frequency, phase=sine_phase, offset=volts)
     t_end = periods / frequency
     engine._sine_requests.cache_clear()
-    for clock in clocks:
-        cfg = replace(base, clock_phase=clock * base.t_clk, settle_time=settle)
+    for clock_freq, clock in clocks:
+        cfg = replace(
+            base,
+            delta=delta,
+            v_min=-16 * delta,
+            clock_freq=clock_freq,
+            clock_phase=clock / clock_freq,
+            settle_time=settle,
+        )
         assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
     again = simulate(cfg, spec, t_end).to_json()
     engine._sine_requests.cache_clear()
@@ -592,10 +629,17 @@ def test_lockstep_skips_excursions_inside_the_off_time():
     assert quiet >= 5
 
 
-def test_runs_leaving_the_shared_requests_early_record_nothing():
+def _kept(spec, t_end):
+    """The shared requests the sine memo keeps for ``spec`` on the stock
+    grid, with the number of requests they hold."""
+    requests = engine._sine_requests(spec, replace(default_config(), clock_freq=1.0), t_end)
+    return requests, len(requests.columns()[0])
+
+
+def test_the_shared_requests_keep_the_run_reaching_furthest():
     # just past the tracking limit each clock phase meets its first catch-up
-    # at a different request: phase 0 records 867 requests before its own,
-    # and the later runs, which leave the sequence earlier, add none
+    # at a different request: phase 0 serves 867 requests before its own,
+    # and the later runs, which leave the sequence earlier, do not replace it
     base = default_config()
     spec = Sine(16.0, 1.01 * max_frequency(16.0, base.delta, base.t_clk))
     t_end = 20 / spec.frequency
@@ -603,9 +647,52 @@ def test_runs_leaving_the_shared_requests_early_record_nothing():
     for i in (0, 11, 17, 5):
         cfg = replace(base, clock_phase=i / 20 * base.t_clk)
         assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
-    grid = replace(base, clock_freq=1.0)
-    requests = engine._sine_requests(spec, grid, t_end)
-    assert len(requests.rows) == 867 and not requests.complete
+        requests, count = _kept(spec, t_end)
+        assert count == 867 and requests.trace.config.clock_phase == 0.0
+        assert requests.reach < t_end
+    # in this order each run's first catch-up comes later than the kept
+    # run's, so each replaces it
+    engine._sine_requests.cache_clear()
+    counts = []
+    for i in (11, 12, 14, 0):
+        cfg = replace(base, clock_phase=i / 20 * base.t_clk)
+        assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
+        requests, count = _kept(spec, t_end)
+        assert requests.trace.config == cfg
+        counts.append(count)
+    assert counts == [30, 93, 153, 867]
+
+
+def test_a_catch_up_into_a_rail_ends_the_shared_requests():
+    # the input rises through the top levels faster than the converter
+    # follows, and the power-up after the crossing into code 31 already
+    # finds it past the top rail.  That saturation interval starts at a
+    # clock-dependent time, so the shared requests end before it, well
+    # before the first immediate event
+    base = default_config()
+    spec = Sine(16.0, 1500.0, phase=0.5, offset=6.0)
+    t_end = 1 / spec.frequency
+    engine._sine_requests.cache_clear()
+    trace = simulate(base, spec, t_end)
+    start = trace.saturation[0][0]
+    assert start in trace.t_on.tolist() and start < trace.t_req[trace.immediate][0]
+    requests, count = _kept(spec, t_end)
+    assert requests.reach == start and count == np.count_nonzero(trace.t_req < start)
+    for i in range(1, 10):
+        cfg = replace(base, clock_phase=i / 10 * base.t_clk)
+        assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
+
+
+def test_writing_to_a_returned_trace_leaves_the_shared_requests_alone():
+    # the memo keeps its own copy of the columns it reads from a trace
+    spec, t_end = Sine(16.0, 1000.0), 2e-3
+    other = default_config(clock_phase=1e-6)
+    expected = _loop_trace(other, spec, t_end).to_json()
+    engine._sine_requests.cache_clear()
+    trace = simulate(default_config(), spec, t_end)
+    for column in (trace.t_req, trace.t_on, trace.code_after, trace.dir):
+        column[:] = 0
+    assert simulate(other, spec, t_end).to_json() == expected
 
 
 def test_monte_carlo_searches_once_per_shared_request(monkeypatch):

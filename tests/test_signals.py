@@ -499,6 +499,9 @@ def _first_linear_root(spec, t_from, lo, hi):
     gaps=st.tuples(st.floats(0.01, 4.0), st.floats(0.01, 4.0)),
     stretch=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
 )
+# the span, 0.30000000000000004, divided by the period rounds past the last
+# sample index; the value there must be the last sample, not a hair beyond
+@example(period=0.1, eighths=[-22, -6, -8, -6], start=0.0, gaps=(1.0, 2.0), stretch=1.0)
 def test_sampled_exit_single_rule(period, eighths, start, gaps, stretch):
     spec = Sampled(sample_period=period, values=tuple(v / 8 for v in eighths))
     t_from = start * spec.span

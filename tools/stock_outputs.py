@@ -12,7 +12,10 @@ this script writes into OUT_DIR, and put their outputs in a directory of the
 same name: ``sum_of_sines`` exercises the generic crossing search that the
 all-sine stock runs never reach, and ``sine_past_limit``, a full-scale sine
 at 1.5 kHz, past the tracking limit, exercises the event loop that takes
-over from a sine's shared request sequence.  Prints one ``sha256
+over from a sine's shared request sequence.  ``montecarlo --trials 20``
+reads a third file, a full-scale sine at 1,010 Hz, just past the limit,
+where the trials leave the shared sequence at different requests and a
+later trial can replace the run it is read from.  Prints one ``sha256
 name`` line per written file (path relative to OUT_DIR) and per captured
 stdout, sorted by name.  OUT_DIR is replaced by a fixed token in
 the captured stdout, so two listings made into different directories, say
@@ -47,9 +50,19 @@ signal.frequency = 1.5k
 run.t_end = 10m
 """
 
+# Full scale at 1,010 Hz, 1.01 times the tracking limit: each clock phase
+# meets its first catch-up request after a different number of crossings.
+MONTECARLO_PAST_LIMIT_CONFIG = """\
+signal.type = sine
+signal.amplitude = 16
+signal.frequency = 1010
+run.t_end = 20m
+"""
+
 CONFIGS = {
     "sum_of_sines.cfg": SUM_OF_SINES_CONFIG,
     "sine_past_limit.cfg": SINE_PAST_LIMIT_CONFIG,
+    "montecarlo_past_limit.cfg": MONTECARLO_PAST_LIMIT_CONFIG,
 }
 
 # {out} stands for OUT_DIR
@@ -67,6 +80,18 @@ COMMANDS = (
     (
         "simulate_sine_past_limit",
         ["simulate", "--config", "{out}/sine_past_limit.cfg", "--out", "{out}/sine_past_limit"],
+    ),
+    (
+        "montecarlo_past_limit",
+        [
+            "montecarlo",
+            "--config",
+            "{out}/montecarlo_past_limit.cfg",
+            "--trials",
+            "20",
+            "--out",
+            "{out}/montecarlo_past_limit",
+        ],
     ),
 )
 

@@ -9,11 +9,12 @@ or a seeded batch of simulations against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .engine import AdcConfig, simulate
+from .engine import AdcConfig, Trace, simulate
 from .power import (
     ModelDomainError,
     PowerParams,
@@ -28,15 +29,6 @@ SWEEP_KINDS = ("clock", "frequency", "amplitude")
 
 # histogram bins of the off-duration support [T, 2T) in OffTimeStats
 OFF_TIME_BINS = 10
-
-SWEEP_COLUMNS = (
-    "x",
-    "off_fraction_sim",
-    "off_fraction_analytic",
-    "p_avg_sim",
-    "p_avg_analytic",
-    "overload",
-)
 
 
 def max_frequency(amplitude: float, delta: float, t_clk: float) -> float:
@@ -122,15 +114,7 @@ class OffTimeStats:
     t_clk: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "n_events": self.n_events,
-            "mean": self.mean,
-            "std": self.std,
-            "bin_edges": list(self.bin_edges),
-            "counts": list(self.counts),
-            "t_clk": self.t_clk,
-        }
+        return asdict(self)
 
 
 def trial_phase(seed: int, index: int, t_clk: float) -> float:
@@ -140,6 +124,16 @@ def trial_phase(seed: int, index: int, t_clk: float) -> float:
     trial's phase does not depend on how many trials run or in what order.
     """
     return float(np.random.default_rng([seed, index]).uniform(0.0, t_clk))
+
+
+def trial_traces(
+    config: AdcConfig, spec: SignalSpec, t_end: float, trials: int, seed: int
+) -> Iterator[Trace]:
+    """Each of ``trials`` simulations over [0, t_end], at its trial's
+    ``trial_phase``, in trial order."""
+    for i in range(trials):
+        phase = trial_phase(seed, i, config.t_clk)
+        yield simulate(replace(config, clock_phase=phase), spec, t_end)
 
 
 def monte_carlo_off_time(
@@ -154,23 +148,13 @@ def monte_carlo_off_time(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     t_clk = config.t_clk
-    offs: list[np.ndarray] = []
-    for i in range(trials):
-        phase = trial_phase(seed, i, t_clk)
-        trace = simulate(replace(config, clock_phase=phase), spec, t_end)
-        offs.append(trace.t_on - trace.t_req)
-    arr = np.concatenate(offs)
+    arr = np.concatenate(
+        [trace.t_on - trace.t_req for trace in trial_traces(config, spec, t_end, trials, seed)]
+    )
     lo = t_clk + config.settle_time
     hi = 2.0 * t_clk + config.settle_time
-    if len(arr):
-        mean = float(arr.mean())
-        std = float(arr.std())
-        counts, edges = np.histogram(arr, bins=OFF_TIME_BINS, range=(lo, hi))
-    else:
-        mean = math.nan
-        std = math.nan
-        counts = np.zeros(OFF_TIME_BINS, dtype=int)
-        edges = np.linspace(lo, hi, OFF_TIME_BINS + 1)
+    counts, edges = np.histogram(arr, bins=OFF_TIME_BINS, range=(lo, hi))
+    mean, std = (float(arr.mean()), float(arr.std())) if len(arr) else (math.nan, math.nan)
     return OffTimeStats(
         trials=trials,
         n_events=len(arr),
@@ -200,20 +184,12 @@ class SweepResult:
     meta: dict
 
     def to_csv(self) -> str:
-        lines = [",".join(SWEEP_COLUMNS)]
-        for r in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        repr(r.x),
-                        repr(r.off_fraction_sim),
-                        "" if r.off_fraction_analytic is None else repr(r.off_fraction_analytic),
-                        repr(r.p_avg_sim),
-                        "" if r.p_avg_analytic is None else repr(r.p_avg_analytic),
-                        "true" if r.overload else "false",
-                    ]
-                )
-            )
+        """One column per SweepRow field.  A cell is the value's ``repr`` in
+        lower case: a float's as it is, a boolean as true/false; None is
+        empty."""
+        lines = [",".join(f.name for f in fields(SweepRow))]
+        for row in self.rows:
+            lines.append(",".join("" if v is None else repr(v).lower() for v in astuple(row)))
         return "\n".join(lines) + "\n"
 
 
@@ -286,19 +262,9 @@ def sweep(
         "seed": seed,
         "grid": list(grid),
         "periods": periods,
-        "config": config.to_json_dict(),
-        "signal": {
-            "type": "sine",
-            "amplitude": signal.amplitude,
-            "frequency": signal.frequency,
-            "phase": signal.phase,
-            "offset": signal.offset,
-        },
-        "power": {
-            "p_on": params.p_on,
-            "p_off": params.p_off,
-            "e_event": params.e_event,
-        },
+        "config": asdict(config),
+        "signal": {"type": "sine", **asdict(signal)},
+        "power": asdict(params),
         "version": f"lcadc {__version__}",
     }
     return SweepResult(rows=tuple(rows), meta=meta)

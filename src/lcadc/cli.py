@@ -22,7 +22,7 @@ from .analysis import (
     max_frequency,
     monte_carlo_off_time,
     sweep,
-    trial_phase,
+    trial_traces,
 )
 from .engine import ConfigError, simulate
 from .power import ModelDomainError, measure
@@ -195,9 +195,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         raise ConfigFileError("table1 requires signal.type = sine", key="signal.type")
     # measure() pooled over the trials: every trial spans the same t_end
     t_off = energy = 0.0
-    for i in range(run.trials):
-        phase = trial_phase(run.seed, i, run.adc.t_clk)
-        trace = simulate(replace(run.adc, clock_phase=phase), run.signal, run.t_end)
+    for trace in trial_traces(run.adc, run.signal, run.t_end, run.trials, run.seed):
         report = measure(trace, run.power)
         t_off += report.t_off
         energy += report.energy

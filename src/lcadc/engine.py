@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -99,14 +99,7 @@ class AdcConfig:
         return self.level(code), self.level(code + 1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "level_count": self.level_count,
-            "v_min": self.v_min,
-            "clock_freq": self.clock_freq,
-            "clock_phase": self.clock_phase,
-            "settle_time": self.settle_time,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,15 +125,9 @@ class CrossingEvent:
         return self.t_on - self.t_req
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_req": self.t_req,
-            "dir": self.direction.value,
-            "code_before": self.code_before,
-            "code_after": self.code_after,
-            "t_ack": self.t_ack,
-            "t_on": self.t_on,
-            "immediate": self.immediate,
-        }
+        doc = asdict(self)
+        doc["dir"] = doc.pop("direction").value
+        return doc
 
 
 # setters of CrossingEvent's slots, in field order
@@ -168,10 +155,10 @@ class Trace:
     CrossingEvent objects, built on first use.
 
     saturation lists [start, end] intervals spent pinned at the bottom or top
-    code with the comparators on.  overload is set the first time a power-up
+    code with the comparators on.  overload_time is the first power-up that
     finds the input a full level past the boundary it crossed, i.e. the
     catch-up continues in the crossing direction and tracking has fallen more
-    than one level behind.
+    than one level behind; it is None, and ``overload`` False, if none does.
     """
 
     config: AdcConfig
@@ -183,9 +170,12 @@ class Trace:
     dir: np.ndarray
     immediate: np.ndarray
     saturation: tuple[tuple[float, float], ...]
-    overload: bool
     overload_time: float | None
     t_end: float
+
+    @property
+    def overload(self) -> bool:
+        return self.overload_time is not None
 
     @functools.cached_property
     def events(self) -> tuple[CrossingEvent, ...]:
@@ -388,7 +378,6 @@ class _Record:
             dir=step,
             immediate=immediate,
             saturation=tuple(self.saturation),
-            overload=self.overload_time is not None,
             overload_time=self.overload_time,
             t_end=t_end,
         )
@@ -477,13 +466,13 @@ class _SineRequests:
 
     def offer(self, trace: Trace) -> None:
         """Keep ``trace`` if its first catch-up request comes later than the
-        kept one's.  A catch-up into a rail shows as a saturation interval
-        that starts at an event's power-up; a searched rail crossing starts
-        between power-ups."""
-        starts = np.array([t for t, _ in trace.saturation], dtype=np.float64)
-        if len(starts):
-            starts = starts[np.isin(starts, trace.t_on)]
-        reach = float(np.concatenate((trace.t_req[trace.immediate], starts)).min(initial=math.inf))
+        kept one's: its first immediate request, or ``overload_time`` if that
+        is earlier.  A catch-up into a rail serves no event, but it runs in
+        the crossing direction that reached the rail, so it sets
+        ``overload_time`` unless an earlier catch-up did."""
+        reach = float(trace.t_req[trace.immediate].min(initial=math.inf))
+        if trace.overload_time is not None:
+            reach = min(reach, trace.overload_time)
         if reach > self.reach:
             # copies: the caller may write to the arrays of its trace
             read = ("t_req", "t_on", "code_after", "dir")
@@ -571,9 +560,8 @@ def reconstruct(trace: Trace) -> list[tuple[float, float]]:
 
     Returns (time, volts) pairs; the value switches at each event's ACK.
     """
-    cfg = trace.config
-    mid = cfg.v_min + (trace.initial_code + 0.5) * cfg.delta
-    levels = cfg.v_min + (trace.code_after + 0.5) * cfg.delta
+    mid = trace.config.level(trace.initial_code + 0.5)
+    levels = trace.config.level(trace.code_after + 0.5)
     return [(0.0, mid), *zip(trace.t_ack.tolist(), levels.tolist())]
 
 
@@ -584,9 +572,8 @@ def tracking_error(
     sampled on a uniform grid over the simulated span."""
     n = max(grid_points, 2)
     t = np.arange(n) * (trace.t_end / (n - 1))
-    cfg = trace.config
     codes = np.concatenate(([trace.initial_code], trace.code_after))
-    levels = cfg.v_min + (codes + 0.5) * cfg.delta
+    levels = trace.config.level(codes + 0.5)
     # the code held at t is the one after the last ACK at or before t
     err = _evaluate_array(spec, t) - levels[np.searchsorted(trace.t_ack, t, side="right")]
     return float(np.abs(err).max()), math.sqrt(float(err @ err) / n)

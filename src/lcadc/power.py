@@ -11,7 +11,7 @@ on the second following edge).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,17 +62,7 @@ class PowerReport:
     reduction: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_total": self.t_total,
-            "t_on": self.t_on,
-            "t_off": self.t_off,
-            "n_cross": self.n_cross,
-            "off_fraction": self.off_fraction,
-            "energy": self.energy,
-            "p_avg": self.p_avg,
-            "p_avg_analytic": self.p_avg_analytic,
-            "reduction": self.reduction,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))

@@ -21,6 +21,8 @@ Example::
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .engine import AdcConfig
@@ -210,15 +212,23 @@ def _build_signal(tb: _Table) -> SignalSpec:
     return Sampled(sample_period=tb.number("signal.sample_period"), values=values)
 
 
-def build_run_config(table: dict[str, tuple[str, int]]) -> RunConfig:
-    tb = _Table(table)
+@contextmanager
+def _invalid(what: str, key: str) -> Iterator[None]:
+    """Report a ValueError raised in the block, unless it is a
+    ConfigFileError already, as an invalid ``what`` under ``key``."""
     try:
-        signal = _build_signal(tb)
+        yield
     except ConfigFileError:
         raise
     except ValueError as exc:
-        raise ConfigFileError(f"invalid signal: {exc}", key="signal.type") from exc
-    try:
+        raise ConfigFileError(f"invalid {what}: {exc}", key=key) from exc
+
+
+def build_run_config(table: dict[str, tuple[str, int]]) -> RunConfig:
+    tb = _Table(table)
+    with _invalid("signal", "signal.type"):
+        signal = _build_signal(tb)
+    with _invalid("adc section", "adc.delta"):
         adc = AdcConfig(
             delta=tb.number("adc.delta"),
             level_count=tb.integer("adc.levels"),
@@ -227,20 +237,12 @@ def build_run_config(table: dict[str, tuple[str, int]]) -> RunConfig:
             clock_phase=tb.number("adc.clock_phase"),
             settle_time=tb.number("adc.settle_time"),
         )
-    except ConfigFileError:
-        raise
-    except ValueError as exc:
-        raise ConfigFileError(f"invalid adc section: {exc}", key="adc.delta") from exc
-    try:
+    with _invalid("power section", "power.p_on"):
         power = PowerParams(
             p_on=tb.number("power.p_on"),
             p_off=tb.number("power.p_off"),
             e_event=tb.number("power.e_event"),
         )
-    except ConfigFileError:
-        raise
-    except ValueError as exc:
-        raise ConfigFileError(f"invalid power section: {exc}", key="power.p_on") from exc
     out_format = tb.raw("run.format")
     if out_format not in ("json", "markdown"):
         raise tb.error("run.format", "must be json or markdown")

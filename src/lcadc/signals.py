@@ -146,11 +146,14 @@ def evaluate(spec: SignalSpec, t: float) -> float:
         span = spec.span
         if t < -TIME_ABS_TOL or t > span + TIME_ABS_TOL:
             raise OutOfSpanError(f"t={t} outside sampled span [0, {span}]")
-        # span / sample_period can round past the last sample index
-        x = min(min(max(t, 0.0), span) / spec.sample_period, len(spec.values) - 1)
-        i = min(int(x), len(spec.values) - 2)
-        frac = x - i
-        return spec.values[i] + (spec.values[i + 1] - spec.values[i]) * frac
+        x = min(max(t, 0.0), span) / spec.sample_period
+        # the span end is the last sample itself: interpolating to it can
+        # miss by an ulp, and span / sample_period can round to either side
+        # of its index
+        if t >= span or x >= len(spec.values) - 1:
+            return spec.values[-1]
+        i = int(x)
+        return spec.values[i] + (spec.values[i + 1] - spec.values[i]) * (x - i)
     raise TypeError(f"unknown signal spec {type(spec).__name__}")
 
 
@@ -186,11 +189,10 @@ def _evaluate_array(spec: SignalSpec, t: np.ndarray) -> np.ndarray:
         clipped = np.where(0.0 > t, 0.0, t)
         x = np.where(span < clipped, span, clipped) / spec.sample_period
         last = len(spec.values) - 1
-        x = np.where(last < x, last, x)
-        i = np.minimum(x.astype(np.int64), len(spec.values) - 2)
-        frac = x - i
+        i = np.minimum(x.astype(np.int64), last - 1)
         values = np.asarray(spec.values)
-        return values[i] + (values[i + 1] - values[i]) * frac
+        at_end = (t >= span) | (x >= last)
+        return np.where(at_end, values[-1], values[i] + (values[i + 1] - values[i]) * (x - i))
     raise TypeError(f"unknown signal spec {type(spec).__name__}")
 
 

@@ -127,15 +127,22 @@ def reference_simulate(config, spec, t_end, step):
     t_grid = np.minimum(np.arange(n + 1) * step, t_end)
     v = eval_grid(spec, t_grid)
 
-    v0 = float(v[0])
-    code = int(math.floor((v0 - config.v_min) / config.delta))
-    code = min(max(code, 0), config.level_count - 1)
     top = config.level_count - 1
 
     def window(c):
         # both bounds from the grid, as the engine takes them
         return config.v_min + c * config.delta, config.v_min + (c + 1) * config.delta
 
+    v0 = float(v[0])
+    code = int(math.floor((v0 - config.v_min) / config.delta))
+    code = min(max(code, 0), top)
+    # the division can round v0 a hair off a level across it; step one code
+    # so that the starting window holds v0
+    lo, hi = window(code)
+    if v0 < lo and code > 0:
+        code -= 1
+    elif v0 > hi and code < top:
+        code += 1
     lo, hi = window(code)
     events: list[RefEvent] = []
     saturation: list[tuple[float, float]] = []

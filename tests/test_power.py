@@ -36,7 +36,6 @@ def make_trace(off_durations, t_end, clock_freq=200000.0, gap=None):
         dir=np.ones(n, dtype=np.int8),
         immediate=np.zeros(n, dtype=bool),
         saturation=(),
-        overload=False,
         overload_time=None,
         t_end=t_end,
     )

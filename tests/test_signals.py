@@ -91,6 +91,7 @@ def _raises_out_of_span(f) -> bool:
 @settings(max_examples=200, deadline=None)
 @given(spec=_specs(), fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
 @example(spec=Sampled(1e-3, (-0.0, 1.0)), fractions=[0.0])  # -0.0 + 1.0 * -0.0 at t = -0.0
+@example(spec=Sampled(0.1, (-4.201, 2.421, -2.82, 3.0)), fractions=[1.0])  # 3.0000000000000004
 def test_evaluate_array_matches_scalar(spec, fractions):
     # bit for bit on constants, ramps and sampled waveforms, sample nodes and
     # signed zeros included; within 1e-12 V on sines, whose numpy sine may
@@ -109,6 +110,8 @@ def test_evaluate_array_matches_scalar(spec, fractions):
     else:
         assert [float(v).hex() for v in got] == [v.hex() for v in want]
     if isinstance(spec, Sampled):
+        # the span end is the last sample itself
+        assert evaluate(spec, span).hex() == spec.values[-1].hex()
         # raises for the same times as evaluate, just inside and just
         # outside either end of the span
         end, start = span + TIME_ABS_TOL, -TIME_ABS_TOL

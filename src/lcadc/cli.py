@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Commands: simulate, sweep, boundary, table1, montecarlo.  Exit codes: 0 ok,
-2 configuration error, 3 overload with --fail-on-overload, 4 internal numeric
-failure.  All randomized commands are reproducible from --seed: identical
-invocations write byte-identical files.
+Commands: simulate, sweep, boundary, table1, montecarlo.  Each command is a
+function ``(run, args) -> (files, summary, overload)`` that computes its
+output files' texts by name, the lines it prints, and whether a simulation
+set the overload flag; it neither writes nor prints.  ``main`` alone loads
+the run configuration, runs the command, writes its files into ``run.out``,
+prints the summary and one ``wrote <paths>`` line, and maps the outcome to an
+exit code: 0 ok, 2 configuration error, 3 overload with --fail-on-overload,
+4 internal numeric failure.  All randomized commands are reproducible from
+--seed: identical invocations write byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,10 +40,6 @@ EXIT_OVERLOAD = 3
 EXIT_NUMERIC = 4
 
 
-class _OverloadFailure(Exception):
-    pass
-
-
 def _parse_grid(spec: str) -> list[float]:
     """Grid spec 'start:stop:count[:log]' -> list of floats."""
     fields = spec.split(":")
@@ -68,53 +69,33 @@ def _parse_grid(spec: str) -> list[float]:
     return [start + step * i for i in range(count)]
 
 
-def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+# What a command computes: each output file's text by name under run.out,
+# the lines printed before "wrote", and whether a simulation overloaded.
+_Output = tuple[dict[str, str], str, bool]
 
 
 def _json_text(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _load(args: argparse.Namespace) -> RunConfig:
-    run = load_run_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigFileError("--seed must be >= 0")
-        run = replace(run, seed=args.seed)
-    if args.out is not None:
-        run = replace(run, out=args.out)
-    return run
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    run = _load(args)
+def _cmd_simulate(run: RunConfig, args: argparse.Namespace) -> _Output:
     trace = simulate(run.adc, run.signal, run.t_end)
     report = measure(trace, run.power)
-    trace_path = os.path.join(run.out, "trace.json")
-    power_path = os.path.join(run.out, "power.json")
-    _write(trace_path, trace.to_json() + "\n")
-    _write(power_path, report.to_json() + "\n")
-    print(
+    files = {"trace.json": trace.to_json() + "\n", "power.json": report.to_json() + "\n"}
+    summary = (
         f"events={report.n_cross} off_fraction={report.off_fraction:.6f} "
-        f"p_avg={report.p_avg:.6e} W overload={str(trace.overload).lower()}"
+        f"p_avg={report.p_avg:.6e} W overload={str(trace.overload).lower()}\n"
     )
-    print(f"wrote {trace_path} {power_path}")
-    if trace.overload and args.fail_on_overload:
-        raise _OverloadFailure
-    return EXIT_OK
+    return files, summary, trace.overload
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    run = _load(args)
+def _cmd_sweep(run: RunConfig, args: argparse.Namespace) -> _Output:
     if not isinstance(run.signal, Sine):
         raise ConfigFileError("sweeps require signal.type = sine", key="signal.type")
     if not 0 < args.periods < math.inf:
         raise ConfigFileError("--periods must be a positive number")
     grid = _parse_grid(args.grid)
-    if not all(0 < x < math.inf for x in grid):
+    if not all(x > 0 for x in grid):
         raise ConfigFileError(f"bad grid spec {args.grid!r}: values must be positive")
     result = sweep(
         args.kind,
@@ -125,24 +106,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=run.seed,
         periods=args.periods,
     )
-    csv_path = os.path.join(run.out, f"sweep_{args.kind}.csv")
-    meta_path = os.path.join(run.out, f"sweep_{args.kind}.meta.json")
-    _write(csv_path, result.to_csv())
-    _write(meta_path, _json_text(result.meta))
+    files = {
+        f"sweep_{args.kind}.csv": result.to_csv(),
+        f"sweep_{args.kind}.meta.json": _json_text(result.meta),
+    }
     n_over = sum(1 for r in result.rows if r.overload)
-    print(f"{len(result.rows)} points, {n_over} overloaded")
-    print(f"wrote {csv_path} {meta_path}")
-    if n_over and args.fail_on_overload:
-        raise _OverloadFailure
-    return EXIT_OK
+    return files, f"{len(result.rows)} points, {n_over} overloaded\n", n_over > 0
 
 
 def _format_clock(value: float) -> str:
     return f"{value:g}".replace("+", "").replace(".", "_")
 
 
-def _cmd_boundary(args: argparse.Namespace) -> int:
-    run = _load(args)
+def _cmd_boundary(run: RunConfig, args: argparse.Namespace) -> _Output:
     clocks = []
     for part in args.clocks.split(","):
         if part.strip():
@@ -150,7 +126,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
                 clk = parse_number(part)
             except ValueError as exc:
                 raise ConfigFileError(f"bad clock list: {exc}") from exc
-            if not 0 < clk < math.inf:
+            if clk <= 0:
                 raise ConfigFileError(f"bad clock list: {part.strip()!r} must be positive")
             clocks.append(clk)
     if not clocks:
@@ -163,7 +139,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
         raise ConfigFileError(
             f"bad grid spec {args.grid!r}: frequencies must be > 0 and ascending"
         )
-    written = []
+    files = {}
     meta_curves = []
     for clk in clocks:
         grid = fixed_grid
@@ -171,26 +147,20 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
             knee = max_frequency(a_limit, run.adc.delta, 1.0 / clk)
             grid = _parse_grid(f"{knee / 100.0}:{knee * 100.0}:61:log")
         curve = boundary_curve(clk, run.adc.delta, a_limit, grid)
-        lines = ["f_hz,a_max"]
-        lines.extend(f"{f!r},{a!r}" for f, a in curve.points)
-        path = os.path.join(run.out, f"boundary_{_format_clock(clk)}.csv")
-        _write(path, "\n".join(lines) + "\n")
-        written.append(path)
-        meta_curves.append({"clock_freq": clk, "points": len(curve.points), "file": os.path.basename(path)})
+        name = f"boundary_{_format_clock(clk)}.csv"
+        files[name] = "f_hz,a_max\n" + "".join(f"{f!r},{a!r}\n" for f, a in curve.points)
+        meta_curves.append({"clock_freq": clk, "points": len(curve.points), "file": name})
     meta = {
         "a_limit": a_limit,
         "delta": run.adc.delta,
         "curves": meta_curves,
         "version": f"lcadc {__version__}",
     }
-    meta_path = os.path.join(run.out, "boundary.meta.json")
-    _write(meta_path, _json_text(meta))
-    print(f"wrote {' '.join(written)} {meta_path}")
-    return EXIT_OK
+    files["boundary.meta.json"] = _json_text(meta)
+    return files, "", False
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    run = _load(args)
+def _cmd_table1(run: RunConfig, args: argparse.Namespace) -> _Output:
     if not isinstance(run.signal, Sine):
         raise ConfigFileError("table1 requires signal.type = sine", key="signal.type")
     # measure() pooled over the trials: every trial spans the same t_end
@@ -226,33 +196,26 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         lines.append(f"| bandwidth at full input (Hz) | {bandwidth:.4g} |")
         lines.append(f"| measured off fraction | {off_fraction:.4f} |")
         text = "\n".join(lines) + "\n"
-        path = os.path.join(run.out, "table1.md")
+        name = "table1.md"
     else:
         text = _json_text(rows)
-        path = os.path.join(run.out, "table1.json")
-    _write(path, text)
-    print(text, end="")
-    print(f"wrote {path}")
-    return EXIT_OK
+        name = "table1.json"
+    return {name: text}, text, False
 
 
-def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    run = _load(args)
+def _cmd_montecarlo(run: RunConfig, args: argparse.Namespace) -> _Output:
     trials = args.trials if args.trials is not None else run.trials
     if trials < 1:
         raise ConfigFileError("--trials must be >= 1")
     stats = monte_carlo_off_time(
         run.adc, run.signal, run.t_end, trials=trials, seed=run.seed
     )
-    path = os.path.join(run.out, "offtime.json")
-    _write(path, _json_text(stats.to_json_dict()))
     mean_str = "nan" if math.isnan(stats.mean) else f"{stats.mean:.6e}"
-    print(
+    summary = (
         f"trials={stats.trials} events={stats.n_events} mean_off={mean_str} s "
-        f"(t_clk={stats.t_clk:.6e} s)"
+        f"(t_clk={stats.t_clk:.6e} s)\n"
     )
-    print(f"wrote {path}")
-    return EXIT_OK
+    return {"offtime.json": _json_text(stats.to_json_dict())}, summary, False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,19 +262,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except _OverloadFailure:
-        print("overload flag set", file=sys.stderr)
-        return EXIT_OVERLOAD
+        run = load_run_config(args.config)
+        if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigFileError("--seed must be >= 0")
+            run = replace(run, seed=args.seed)
+        if args.out is not None:
+            run = replace(run, out=args.out)
+        files, summary, overload = args.func(run, args)
+        paths = [os.path.join(run.out, name) for name in files]
+        os.makedirs(run.out or ".", exist_ok=True)
+        for path, text in zip(paths, files.values()):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        print(summary, end="")
+        print("wrote", *paths)
     except (ConfigFileError, ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ModelDomainError, FloatingPointError, ZeroDivisionError, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if overload and getattr(args, "fail_on_overload", False):
+        print("overload flag set", file=sys.stderr)
+        return EXIT_OVERLOAD
+    return EXIT_OK
 
 
 if __name__ == "__main__":

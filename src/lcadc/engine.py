@@ -25,7 +25,6 @@ from .signals import (
     Direction,
     SignalSpec,
     Sine,
-    WindowStartError,
     _evaluate_array,
     _sine_stable_until,
     evaluate,

@@ -2,7 +2,7 @@
 
 Format: one ``section.key = value`` per line, ``#`` starts a comment, blank
 lines ignored.  Numbers accept SI suffixes k, M, m, u, n, p (case matters:
-M is mega, m is milli).  Sections: signal, adc, power, run.
+M is mega, m is milli) and must be finite.  Sections: signal, adc, power, run.
 
 Example::
 
@@ -21,6 +21,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,15 +56,17 @@ class ConfigFileError(ValueError):
 
 
 def parse_number(text: str) -> float:
-    """Parse a decimal number with an optional SI suffix."""
+    """Parse a finite decimal number with an optional SI suffix."""
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    if len(text) >= 2 and text[-1] in SI_SUFFIXES:
-        return float(text[:-1]) * SI_SUFFIXES[text[-1]]
-    raise ValueError(f"not a number: {text!r}")
+        if len(text) < 2 or text[-1] not in SI_SUFFIXES:
+            raise ValueError(f"not a number: {text!r}") from None
+        value = float(text[:-1]) * SI_SUFFIXES[text[-1]]
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 # key -> default raw value; values are parsed lazily so errors name the key
@@ -213,22 +216,23 @@ def _build_signal(tb: _Table) -> SignalSpec:
 
 
 @contextmanager
-def _invalid(what: str, key: str) -> Iterator[None]:
+def _invalid(what: str) -> Iterator[None]:
     """Report a ValueError raised in the block, unless it is a
-    ConfigFileError already, as an invalid ``what`` under ``key``."""
+    ConfigFileError already, as an invalid ``what``; its message names the
+    field."""
     try:
         yield
     except ConfigFileError:
         raise
     except ValueError as exc:
-        raise ConfigFileError(f"invalid {what}: {exc}", key=key) from exc
+        raise ConfigFileError(f"invalid {what}: {exc}") from exc
 
 
 def build_run_config(table: dict[str, tuple[str, int]]) -> RunConfig:
     tb = _Table(table)
-    with _invalid("signal", "signal.type"):
+    with _invalid("signal"):
         signal = _build_signal(tb)
-    with _invalid("adc section", "adc.delta"):
+    with _invalid("adc section"):
         adc = AdcConfig(
             delta=tb.number("adc.delta"),
             level_count=tb.integer("adc.levels"),
@@ -237,7 +241,7 @@ def build_run_config(table: dict[str, tuple[str, int]]) -> RunConfig:
             clock_phase=tb.number("adc.clock_phase"),
             settle_time=tb.number("adc.settle_time"),
         )
-    with _invalid("power section", "power.p_on"):
+    with _invalid("power section"):
         power = PowerParams(
             p_on=tb.number("power.p_on"),
             p_off=tb.number("power.p_off"),

@@ -366,3 +366,51 @@ def test_montecarlo_trials_override(tmp_path):
     doc = json.loads((tmp_path / "out" / "offtime.json").read_text())
     assert doc["trials"] == 2
     assert doc["n_events"] == 0
+
+
+def test_infinite_t_end_is_config_error(tmp_path, capsys):
+    # an unbounded span used to run the event loop forever
+    cfg = write_config(tmp_path, "run.t_end = inf\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "run.t_end" in err and "line 1" in err
+    assert not (tmp_path / "out").exists()
+
+
+SHORT_RUN = "run.t_end = 2m\nrun.trials = 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["sweep", "frequency", "--grid", "500:1k:2", "--periods", "2"],
+        ["boundary", "--clocks", "201k,402k", "--grid", "10:1k:3"],
+        ["boundary", "--clocks", "201k"],
+        ["table1"],
+        ["table1", "--format", "markdown"],
+        ["montecarlo"],
+    ],
+)
+def test_last_line_names_exactly_the_files_written(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, SHORT_RUN)
+    out = tmp_path / "out"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1].split(" ")
+    assert last[0] == "wrote"
+    assert {os.path.dirname(p) for p in last[1:]} == {str(out)}
+    assert sorted(os.path.basename(p) for p in last[1:]) == sorted(os.listdir(out))
+
+
+def test_fail_on_overload_writes_both_files_then_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, "signal.frequency = 2k\nrun.t_end = 2m\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--fail-on-overload"]) == 3
+    captured = capsys.readouterr()
+    assert "overload=true" in captured.out
+    assert captured.out.splitlines()[-1] == (
+        f"wrote {out / 'trace.json'} {out / 'power.json'}"
+    )
+    assert captured.err == "overload flag set\n"
+    assert json.loads((out / "trace.json").read_text())["overload"] is True
+    assert sorted(os.listdir(out)) == ["power.json", "trace.json"]

@@ -34,6 +34,13 @@ def test_parse_number_rejects_garbage():
         parse_number("")
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e306k"])
+def test_parse_number_rejects_non_finite(text):
+    # the check follows SI scaling: 1e306 is finite, 1e306k is not
+    with pytest.raises(ValueError, match="not a finite number"):
+        parse_number(text)
+
+
 def test_defaults_describe_the_stock_operating_point():
     run = build_run_config({})
     assert isinstance(run.signal, Sine)
@@ -162,6 +169,32 @@ def test_invalid_adc_section_is_config_error():
 def test_invalid_power_section_is_config_error():
     with pytest.raises(ConfigFileError):
         parse("power.p_on = 0.1u\npower.p_off = 0.2u\n")
+
+
+@pytest.mark.parametrize(
+    "text, field, wrong_key",
+    [
+        ("adc.levels = 1\n", "level_count", "adc.delta"),
+        ("power.p_off = 3u\n", "p_off", "power.p_on"),
+        ("signal.frequency = 0\n", "frequency", "signal.type"),
+    ],
+)
+def test_section_error_names_its_field_not_a_fixed_key(text, field, wrong_key):
+    with pytest.raises(ConfigFileError) as err:
+        parse(text)
+    assert field in str(err.value)
+    assert wrong_key not in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "key",
+    ["run.t_end", "run.trials", "run.seed", "adc.levels", "power.p_on", "signal.frequency"],
+)
+def test_non_finite_value_names_its_key_and_line(key, value):
+    with pytest.raises(ConfigFileError) as err:
+        parse(f"# non-finite\n{key} = {value}\n")
+    assert (err.value.key, err.value.line) == (key, 2)
 
 
 def test_non_integer_levels_rejected():

@@ -119,7 +119,7 @@ def _format_clock(value: float) -> str:
 
 
 def _cmd_boundary(run: RunConfig, args: argparse.Namespace) -> _Output:
-    clocks = []
+    clocks = {}  # file name -> (clock as given, clock in Hz)
     for part in args.clocks.split(","):
         if part.strip():
             try:
@@ -128,7 +128,12 @@ def _cmd_boundary(run: RunConfig, args: argparse.Namespace) -> _Output:
                 raise ConfigFileError(f"bad clock list: {exc}") from exc
             if clk <= 0:
                 raise ConfigFileError(f"bad clock list: {part.strip()!r} must be positive")
-            clocks.append(clk)
+            name = f"boundary_{_format_clock(clk)}.csv"
+            if name in clocks:
+                raise ConfigFileError(
+                    f"bad clock list: {clocks[name][0]!r} and {part.strip()!r} both name {name}"
+                )
+            clocks[name] = (part.strip(), clk)
     if not clocks:
         raise ConfigFileError("at least one clock frequency is required")
     a_limit = run.adc.level_count * run.adc.delta / 2.0
@@ -141,13 +146,12 @@ def _cmd_boundary(run: RunConfig, args: argparse.Namespace) -> _Output:
         )
     files = {}
     meta_curves = []
-    for clk in clocks:
+    for name, (_, clk) in clocks.items():
         grid = fixed_grid
         if grid is None:
             knee = max_frequency(a_limit, run.adc.delta, 1.0 / clk)
             grid = _parse_grid(f"{knee / 100.0}:{knee * 100.0}:61:log")
         curve = boundary_curve(clk, run.adc.delta, a_limit, grid)
-        name = f"boundary_{_format_clock(clk)}.csv"
         files[name] = "f_hz,a_max\n" + "".join(f"{f!r},{a!r}\n" for f, a in curve.points)
         meta_curves.append({"clock_freq": clk, "points": len(curve.points), "file": name})
     meta = {

@@ -41,8 +41,8 @@ EDGE_TOLERANCE = 1e-12
 _VALUE_GUARD = 1e-9
 _SEPARATORS = (",", ":")
 _DIRECTIONS = {1: Direction.UP, -1: Direction.DOWN}
-# dtypes of the t_req, t_ack, t_on, code_after, dir and immediate columns
-_COLUMN_TYPES = (np.float64, np.float64, np.float64, np.int64, np.int8, np.bool_)
+# dtypes of the t_req, t_ack and code_after columns
+_COLUMN_TYPES = (np.float64, np.float64, np.int64)
 
 
 class ConfigError(ValueError):
@@ -69,16 +69,19 @@ class AdcConfig:
     settle_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ConfigError("delta must be > 0")
-        if self.level_count < 2:
-            raise ConfigError("level_count must be >= 2")
-        if self.clock_freq <= 0:
-            raise ConfigError("clock_freq must be > 0")
+        # each bound is checked as a range, which a NaN fails too
+        if not 0 < self.delta < math.inf:
+            raise ConfigError("delta must be finite and > 0")
+        if not 2 <= self.level_count < math.inf:
+            raise ConfigError("level_count must be finite and >= 2")
+        if not math.isfinite(self.v_min):
+            raise ConfigError("v_min must be finite")
+        if not 0 < self.clock_freq < math.inf:
+            raise ConfigError("clock_freq must be finite and > 0")
         if not 0 <= self.clock_phase < 1.0 / self.clock_freq:
             raise ConfigError("clock_phase must lie in [0, 1/clock_freq)")
-        if self.settle_time < 0:
-            raise ConfigError("settle_time must be >= 0")
+        if not 0 <= self.settle_time < math.inf:
+            raise ConfigError("settle_time must be finite and >= 0")
 
     @property
     def t_clk(self) -> float:
@@ -138,20 +141,20 @@ class Trace:
     """Simulation result: served crossings as columns, plus range/overrun
     annotations.
 
-    Served crossings are rows of six equal-length numpy columns, in the
-    order they were served:
+    Served crossings are rows of three equal-length numpy columns, in the
+    order they were served, read-only once the trace is built:
 
     ==========  =======  ===================================================
     t_req       float64  request: the comparators gate off
     t_ack       float64  ACK edge: the code steps
-    t_on        float64  power-up: t_ack + settle_time
     code_after  int64    code held from t_ack on
-    dir         int8     +1 for a crossing up, -1 for a crossing down
-    immediate   bool     catch-up request raised at the previous power-up
     ==========  =======  ===================================================
 
-    The code before a row is code_after - dir.  ``events`` shows the rows as
-    CrossingEvent objects, built on first use.
+    ``t_on`` (the power-up, t_ack + settle_time), ``dir`` (the code step,
+    +1 up or -1 down) and ``immediate`` (a catch-up request, raised at the
+    previous t_on exactly; a searched request lies strictly after the
+    power-up its search started from) are read-only columns derived from
+    them on first use.  ``events`` shows the rows as CrossingEvent objects.
 
     saturation lists [start, end] intervals spent pinned at the bottom or top
     code with the comparators on.  overload_time is the first power-up that
@@ -164,17 +167,32 @@ class Trace:
     initial_code: int
     t_req: np.ndarray
     t_ack: np.ndarray
-    t_on: np.ndarray
     code_after: np.ndarray
-    dir: np.ndarray
-    immediate: np.ndarray
     saturation: tuple[tuple[float, float], ...]
     overload_time: float | None
     t_end: float
 
+    def __post_init__(self) -> None:
+        for column in (self.t_req, self.t_ack, self.code_after):
+            column.flags.writeable = False
+
     @property
     def overload(self) -> bool:
         return self.overload_time is not None
+
+    @functools.cached_property
+    def t_on(self) -> np.ndarray:
+        return _read_only(self.t_ack + self.config.settle_time)
+
+    @functools.cached_property
+    def dir(self) -> np.ndarray:
+        return _read_only(np.diff(self.code_after, prepend=self.initial_code).astype(np.int8))
+
+    @functools.cached_property
+    def immediate(self) -> np.ndarray:
+        immediate = np.zeros(len(self.t_req), dtype=bool)
+        immediate[1:] = self.t_req[1:] == self.t_on[:-1]
+        return _read_only(immediate)
 
     @functools.cached_property
     def events(self) -> tuple[CrossingEvent, ...]:
@@ -183,14 +201,8 @@ class Trace:
         new = object.__new__
         set_req, set_dir, set_before, set_after, set_ack, set_on, set_immediate = _EVENT_SLOTS
         events = []
-        for t_req, step, code, t_ack, t_on, immediate in zip(
-            self.t_req.tolist(),
-            self.dir.tolist(),
-            self.code_after.tolist(),
-            self.t_ack.tolist(),
-            self.t_on.tolist(),
-            self.immediate.tolist(),
-        ):
+        columns = (self.t_req, self.dir, self.code_after, self.t_ack, self.t_on, self.immediate)
+        for t_req, step, code, t_ack, t_on, immediate in zip(*(c.tolist() for c in columns)):
             event = new(CrossingEvent)
             set_req(event, t_req)
             set_dir(event, _DIRECTIONS[step])
@@ -224,8 +236,7 @@ class Trace:
         first '"events":[]' is the slot the events go in."""
         t_ack = list(map(repr, self.t_ack.tolist()))
         # with no settle time t_on is t_ack, and so is its text
-        same = np.array_equal(self.t_on, self.t_ack)
-        t_on = t_ack if same else list(map(repr, self.t_on.tolist()))
+        t_on = t_ack if self.config.settle_time == 0 else list(map(repr, self.t_on.tolist()))
         events = ",".join(
             f'{{"code_after":{code},"code_before":{code - step},"dir":"{_DIRECTIONS[step].value}",'
             f'"immediate":{"true" if immediate else "false"},"t_ack":{ack},"t_on":{on},"t_req":{req}}}'
@@ -240,6 +251,11 @@ class Trace:
         )
         text = json.dumps(self._document([]), sort_keys=True, separators=_SEPARATORS)
         return text.replace('"events":[]', f'"events":[{events}]', 1)
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
 
 
 def ack_time(t_req: float, clock_freq: float, clock_phase: float = 0.0) -> float:
@@ -302,6 +318,10 @@ def initial_code(config: AdcConfig, spec: SignalSpec) -> int:
 def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
     """Run the conversion loop over [0, t_end] and record every event.
 
+    The returned trace holds what the loop decides per served crossing, the
+    request, ACK and new code, as read-only columns; the power-up time,
+    direction and catch-up flag are derived from them.
+
     Loop per crossing: locate the next window exit, gate the comparators off
     at the request, shift the code and window at the ACK edge, power back up
     after settle_time, then either resume tracking or serve a pending
@@ -315,20 +335,20 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
     before its first catch-up request serve every run on the same input,
     level grid and span.  They are read from the run's finished trace, and
     the loop records nothing; of the runs that went through it, the one
-    whose first catch-up comes latest is kept, and a Monte Carlo run over
-    clock phases searches once.  A run that finds a kept trace computes the
-    ACK times of its requests at once with a vectorized ``ack_time`` and
-    certifies each served request.  Its power-up, and the kept run's, where
-    that run's next search started, must both lie before the
-    ``_sine_stable_until`` bound from the request.  The power-up must also
-    find the input inside the shifted window; values within 1e-9 of full
-    scale of a boundary are rechecked with the scalar ``evaluate``.  The
-    loop's own search from such a power-up returns exactly the kept next
-    request, so the certified prefix is the loop's trace bit for bit.  The
-    loop takes over after the first request that fails, from its code,
-    power-up time and direction.  Past the tracking limit a catch-up comes
-    within a few events, so later runs fall back early.  Other waveforms run
-    the loop from t=0.
+    whose first catch-up comes latest is kept, the trace itself, since its
+    columns are read-only, and a Monte Carlo run over clock phases searches
+    once.  A run that finds a kept trace computes the ACK times of its
+    requests at once with a vectorized ``ack_time`` and certifies each
+    served request.  Its power-up, and the kept run's, where that run's next
+    search started, must both lie before the ``_sine_stable_until`` bound
+    from the request.  The power-up must also find the input inside the
+    shifted window; values within 1e-9 of full scale of a boundary are
+    rechecked with the scalar ``evaluate``.  The loop's own search from such
+    a power-up returns exactly the kept next request, so the certified
+    prefix is the loop's trace bit for bit.  The loop takes over after the
+    first request that fails, from its code, power-up time and direction.
+    Past the tracking limit a catch-up comes within a few events, so later
+    runs fall back early.  Other waveforms run the loop from t=0.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -353,7 +373,7 @@ class _Record:
     sequence as columns, then event rows and annotations from the loop."""
 
     def __init__(self) -> None:
-        # t_req, t_ack, t_on, code_after, dir and immediate as arrays
+        # t_req, t_ack and code_after as arrays
         self.prefix: tuple[np.ndarray, ...] = ()
         # the same columns as lists, one entry per loop event; lists of
         # numbers, unlike a tuple per event, give the garbage collector
@@ -366,20 +386,7 @@ class _Record:
         parts = [np.asarray(c, dtype=d) for c, d in zip(self.columns, _COLUMN_TYPES)]
         if self.prefix:
             parts = [np.concatenate(pair) for pair in zip(self.prefix, parts)]
-        t_req, t_ack, t_on, code_after, step, immediate = parts
-        return Trace(
-            config=config,
-            initial_code=start_code,
-            t_req=t_req,
-            t_ack=t_ack,
-            t_on=t_on,
-            code_after=code_after,
-            dir=step,
-            immediate=immediate,
-            saturation=tuple(self.saturation),
-            overload_time=self.overload_time,
-            t_end=t_end,
-        )
+        return Trace(config, start_code, *parts, tuple(self.saturation), self.overload_time, t_end)
 
 
 def _serve(
@@ -400,14 +407,13 @@ def _serve(
     """
     top = config.level_count - 1
     lo, hi = config.window(code)
-    t_reqs, t_acks, t_ons, codes, steps, catch_ups = record.columns
+    t_reqs, t_acks, codes = record.columns
     while now < t_end:
         if served is None:
             found = next_window_exit(spec, now, lo, hi, t_end)
             if found is None:
                 break
             t_req, direction = found
-            immediate = False
         else:
             v = evaluate(spec, now)
             if lo <= v <= hi:
@@ -419,7 +425,6 @@ def _serve(
                 # direction: more than one level lost during one loop
                 record.overload_time = now
             t_req = now
-            immediate = True
         step = 1 if direction is Direction.UP else -1
         if not 0 <= code + step <= top:
             # range rail: window pinned, comparators stay on; a rail
@@ -436,10 +441,7 @@ def _serve(
         code += step
         t_reqs.append(t_req)
         t_acks.append(t_ack)
-        t_ons.append(now)
         codes.append(code)
-        steps.append(step)
-        catch_ups.append(immediate)
         lo, hi = config.window(code)
         served = direction
 
@@ -453,7 +455,8 @@ class _SineRequests:
     Each search in that prefix started where the clock cannot move it, at
     t=0, at the power-up after a served request, or at the end of a rail
     crossing.  Of the traces offered, the one whose first catch-up request
-    comes latest (``reach``; inf for a trace without one) is kept.
+    comes latest (``reach``; inf for a trace without one) is kept, with no
+    copy: no caller can write to its columns.
     """
 
     def __init__(self, spec: Sine, grid: AdcConfig) -> None:
@@ -473,9 +476,6 @@ class _SineRequests:
         if trace.overload_time is not None:
             reach = min(reach, trace.overload_time)
         if reach > self.reach:
-            # copies: the caller may write to the arrays of its trace
-            read = ("t_req", "t_on", "code_after", "dir")
-            trace = replace(trace, **{name: getattr(trace, name).copy() for name in read})
             self.trace, self.reach, self._columns = trace, reach, None
 
     def columns(self) -> tuple | None:
@@ -529,10 +529,7 @@ def _lockstep(
     t_on = t_ack + config.settle_time
     failed = np.flatnonzero(~((t_on < limit) & _inside(spec, t_on, lo, hi)))
     end = int(failed[0]) + 1 if len(failed) else len(t_req)
-    record.prefix = tuple(
-        column[:end]
-        for column in (t_req, t_ack, t_on, code_after, step, np.zeros(end, dtype=bool))
-    )
+    record.prefix = (t_req[:end], t_ack[:end], code_after[:end])
     if not len(failed):
         record.saturation.extend(rails)
         return None

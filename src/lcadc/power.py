@@ -11,6 +11,7 @@ on the second following edge).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -36,10 +37,11 @@ class PowerParams:
     e_event: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.p_off < 0 or self.p_on <= self.p_off:
-            raise ValueError("require p_on > p_off >= 0")
-        if self.e_event < 0:
-            raise ValueError("e_event must be >= 0")
+        # each bound is checked as a range, which a NaN fails too
+        if not 0 <= self.p_off < self.p_on < math.inf:
+            raise ValueError("require finite p_on > p_off >= 0")
+        if not 0 <= self.e_event < math.inf:
+            raise ValueError("e_event must be finite and >= 0")
 
 
 @dataclass(frozen=True)

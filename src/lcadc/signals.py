@@ -146,14 +146,20 @@ def evaluate(spec: SignalSpec, t: float) -> float:
         span = spec.span
         if t < -TIME_ABS_TOL or t > span + TIME_ABS_TOL:
             raise OutOfSpanError(f"t={t} outside sampled span [0, {span}]")
-        x = min(max(t, 0.0), span) / spec.sample_period
+        clipped = min(max(t, 0.0), span)
+        x = clipped / spec.sample_period
         # the span end is the last sample itself: interpolating to it can
         # miss by an ulp, and span / sample_period can round to either side
         # of its index
         if t >= span or x >= len(spec.values) - 1:
             return spec.values[-1]
+        # x can round down past a sample index, so a sample time
+        # i*sample_period lands on sample i only by stepping up to it
         i = int(x)
-        return spec.values[i] + (spec.values[i + 1] - spec.values[i]) * (x - i)
+        if (i + 1) * spec.sample_period <= clipped:
+            i += 1
+        fraction = (clipped - i * spec.sample_period) / spec.sample_period
+        return spec.values[i] + (spec.values[i + 1] - spec.values[i]) * fraction
     raise TypeError(f"unknown signal spec {type(spec).__name__}")
 
 
@@ -187,12 +193,15 @@ def _evaluate_array(spec: SignalSpec, t: np.ndarray) -> np.ndarray:
             raise OutOfSpanError(f"t={bad} outside sampled span [0, {span}]")
         # min and max as the builtins pick, signed zeros included
         clipped = np.where(0.0 > t, 0.0, t)
-        x = np.where(span < clipped, span, clipped) / spec.sample_period
+        clipped = np.where(span < clipped, span, clipped)
+        x = clipped / spec.sample_period
         last = len(spec.values) - 1
-        i = np.minimum(x.astype(np.int64), last - 1)
+        i = x.astype(np.int64)
+        i = np.minimum(i + ((i + 1) * spec.sample_period <= clipped), last - 1)
+        fraction = (clipped - i * spec.sample_period) / spec.sample_period
         values = np.asarray(spec.values)
         at_end = (t >= span) | (x >= last)
-        return np.where(at_end, values[-1], values[i] + (values[i + 1] - values[i]) * (x - i))
+        return np.where(at_end, values[-1], values[i] + (values[i + 1] - values[i]) * fraction)
     raise TypeError(f"unknown signal spec {type(spec).__name__}")
 
 

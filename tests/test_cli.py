@@ -256,6 +256,18 @@ def test_boundary_csv_per_clock(tmp_path):
     assert len(meta["curves"]) == 2
 
 
+@pytest.mark.parametrize("clocks", [("201000", "201000.4"), ("201k", "201000")])
+def test_boundary_rejects_clocks_that_name_one_file(tmp_path, capsys, clocks):
+    # both clocks would write boundary_201000.csv: the second curve would
+    # replace the first, which the meta file still lists
+    out = tmp_path / "out"
+    assert main(["boundary", "--clocks", ",".join(clocks), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error")
+    assert all(repr(clock) in err[0] for clock in clocks)
+    assert not out.exists()
+
+
 def test_table1_json(tmp_path, capsys):
     cfg = write_config(tmp_path, DEFAULT_POINT + "run.trials = 6\n")
     out = str(tmp_path / "out")

@@ -270,6 +270,41 @@ def test_saturation_matches_reference():
         assert abs(a.t_req - b.t_req) <= 2 * step
 
 
+@pytest.mark.parametrize(
+    "settle, spec, t_end, served, catch_ups",
+    [
+        # full scale at 1.5 kHz, past the tracking limit
+        (0.0, Sine(16.0, 1500.0), 2e-3, 183, 140),
+        # a catch-up into the top rail
+        (0.0, Sine(16.0, 1500.0, phase=0.5, offset=6.0), 1 / 1500.0, 45, 36),
+        # past the limit with a settle time
+        (1e-6, Sine(16.0, 1200.0, phase=0.3), 2e-3, 145, 89),
+    ],
+)
+def test_every_event_field_matches_reference(settle, spec, t_end, served, catch_ups):
+    # the time-stepped oracle requests at the first grid sample beyond a
+    # boundary, at most one step after the engine; a catch-up at the
+    # power-up in both.  At this step no clock edge falls between the two
+    # requests, so every ACK and power-up agrees
+    cfg = default_config(settle_time=settle)
+    step = cfg.t_clk / 1000
+    trace = simulate(cfg, spec, t_end)
+    ref = reference_simulate(cfg, spec, t_end, step)
+    assert len(trace.events) == len(ref.events) == served
+    assert sum(ev.immediate for ev in trace.events) == catch_ups
+    for ev, want in zip(trace.events, ref.events):
+        assert (ev.direction.value, ev.code_before, ev.code_after, ev.immediate) == (
+            want.direction, want.code_before, want.code_after, want.immediate
+        )
+        assert ev.t_req <= want.t_req <= ev.t_req + step
+        assert ev.t_ack == pytest.approx(want.t_ack, abs=1e-12)
+        assert ev.t_on == pytest.approx(want.t_on, abs=1e-12)
+    assert len(trace.saturation) == len(ref.saturation)
+    for got, want in zip(trace.saturation, ref.saturation):
+        assert all(t <= w <= t + step for t, w in zip(got, want))
+    assert trace.overload == ref.overload
+
+
 def test_overload_flag_thresholds():
     cfg = default_config()
     f_max = max_frequency(16.0, cfg.delta, cfg.t_clk)
@@ -699,14 +734,15 @@ def test_a_catch_up_into_a_rail_ends_the_shared_requests():
 
 
 def test_writing_to_a_returned_trace_leaves_the_shared_requests_alone():
-    # the memo keeps its own copy of the columns it reads from a trace
+    # the memo keeps the trace itself, whose columns are read-only
     spec, t_end = Sine(16.0, 1000.0), 2e-3
     other = default_config(clock_phase=1e-6)
     expected = _loop_trace(other, spec, t_end).to_json()
     engine._sine_requests.cache_clear()
     trace = simulate(default_config(), spec, t_end)
-    for column in (trace.t_req, trace.t_on, trace.code_after, trace.dir):
-        column[:] = 0
+    for name in ("t_req", "t_ack", "code_after", "t_on", "dir", "immediate"):
+        with pytest.raises(ValueError):
+            getattr(trace, name)[:] = 0
     assert simulate(other, spec, t_end).to_json() == expected
 
 

@@ -1,10 +1,11 @@
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lcadc.engine import AdcConfig, Trace, simulate
+from lcadc.engine import AdcConfig, ConfigError, Trace, simulate
 from lcadc.power import (
     EVENT_ENERGY_BREAKEVEN_201K,
     ModelDomainError,
@@ -31,10 +32,7 @@ def make_trace(off_durations, t_end, clock_freq=200000.0, gap=None):
         initial_code=0,
         t_req=t_req,
         t_ack=t_on,
-        t_on=t_on,
         code_after=np.arange(1, n + 1),
-        dir=np.ones(n, dtype=np.int8),
-        immediate=np.zeros(n, dtype=bool),
         saturation=(),
         overload_time=None,
         t_end=t_end,
@@ -61,6 +59,20 @@ def test_params_validation():
         PowerParams(p_on=1e-6, p_off=-1e-9)
     with pytest.raises(ValueError):
         PowerParams(e_event=-1e-12)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, name", [(cls, f.name) for cls in (AdcConfig, PowerParams) for f in fields(cls)]
+)
+def test_non_finite_field_is_rejected(cls, name, value):
+    # a check written as ``x < 0`` lets a NaN through, and an upper bound
+    # must be stated for an infinity to fail: settle_time = nan simulated a
+    # trace with a NaN t_on, and p_on = inf gave NaN reports
+    stock = {"delta": 1.0, "level_count": 32, "v_min": -16.0, "clock_freq": 201e3}
+    error = ConfigError if cls is AdcConfig else ValueError
+    with pytest.raises(error, match=name):
+        cls(**{**(stock if cls is AdcConfig else {}), name: value})
 
 
 def test_measure_empty_trace_always_on():

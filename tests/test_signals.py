@@ -110,7 +110,9 @@ def test_evaluate_array_matches_scalar(spec, fractions):
     else:
         assert [float(v).hex() for v in got] == [v.hex() for v in want]
     if isinstance(spec, Sampled):
-        # the span end is the last sample itself
+        # each sample time, the span end included, gives the sample's value
+        # (a -0.0 sample may read as 0.0)
+        assert [evaluate(spec, t) for t in nodes] == list(spec.values)
         assert evaluate(spec, span).hex() == spec.values[-1].hex()
         # raises for the same times as evaluate, just inside and just
         # outside either end of the span
@@ -505,6 +507,12 @@ def _first_linear_root(spec, t_from, lo, hi):
 # the span, 0.30000000000000004, divided by the period rounds past the last
 # sample index; the value there must be the last sample, not a hair beyond
 @example(period=0.1, eighths=[-22, -6, -8, -6], start=0.0, gaps=(1.0, 2.0), stretch=1.0)
+# the trough reaches -1.125, 1.3e-16 V past lo, at sample 3; 3 * 0.1 divided
+# by the period rounds to either side of 3, and neither interpolates to the
+# sample itself
+@example(
+    period=0.1, eighths=[23, 0, 0, -9, 0], start=0.0, gaps=(3.9999999999999996, 1.0), stretch=2.0
+)
 def test_sampled_exit_single_rule(period, eighths, start, gaps, stretch):
     spec = Sampled(sample_period=period, values=tuple(v / 8 for v in eighths))
     t_from = start * spec.span

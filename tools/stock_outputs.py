@@ -15,11 +15,17 @@ at 1.5 kHz, past the tracking limit, exercises the event loop that takes
 over from a sine's shared request sequence.  ``montecarlo --trials 20``
 reads a third file, a full-scale sine at 1,010 Hz, just past the limit,
 where the trials leave the shared sequence at different requests and a
-later trial can replace the run it is read from.  Prints one ``sha256
-name`` line per written file (path relative to OUT_DIR) and per captured
-stdout, sorted by name.  OUT_DIR is replaced by a fixed token in
-the captured stdout, so two listings made into different directories, say
-from two checkouts, can be compared with ``diff``.  SRC_DIR (default: the
+later trial can replace the run it is read from.  Last, for each waveform
+kind (sine, sum_of_sines, ramp, sampled) it makes 50 seeded random
+``simulate`` calls through the library and hashes their ``Trace.to_json``
+texts as ``random/<kind>``: 1, 0.1 and 1/3 V grids, settle times, inputs
+past the tracking limit and into the rails, none of which the stock runs
+reach.  Each random sine runs at three clock phases, so the later ones take
+the shared request sequence.  Prints one ``sha256 name`` line per written
+file (path relative to OUT_DIR), per captured stdout and per random kind,
+sorted by name.  OUT_DIR is replaced by a fixed token in the captured
+stdout, so two listings made into different directories, say from two
+checkouts, can be compared with ``diff``.  SRC_DIR (default: the
 ``src`` next to this script) is the package tree to import ``lcadc`` from.
 """
 
@@ -29,7 +35,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
+import random
 import sys
 
 # Two tones whose peak passes the 14 V level by 50 uV once per period; over
@@ -97,6 +105,85 @@ COMMANDS = (
 
 OUT_TOKEN = "<out>"
 
+# Seeded random simulate runs per waveform kind, hashed as one line each.
+RANDOM_KINDS = ("sine", "sum_of_sines", "ramp", "sampled")
+RANDOM_RUNS = 50
+# level steps in volts: binary, and two that no binary fraction represents
+RANDOM_GRIDS = (1.0, 0.1, 1.0 / 3.0)
+# a sine's request sequence is shared across clock phases: run each input
+# at this many phases, in one block, so later runs take the lockstep path
+SINE_PHASES = 3
+
+
+def random_runs(kind: str, runs: int):
+    """Yield ``runs`` seeded random (config, spec, t_end) triples of one
+    waveform kind on a 32-level grid.  Steps are 1, 0.1 or 1/3 V, clocks
+    100 to 402 kHz at a random phase, settle times zero or up to 3 us.
+    Sines run at up to twice the tracking limit and sums of sines and ramps
+    at up to twice a comparable rate; amplitudes, slopes and sample values
+    reach past the range, into the rails.  Sampled values lie on eighths of
+    the step, so samples often land on a level.  Every input starts inside
+    the range."""
+    from lcadc import AdcConfig, Ramp, Sampled, Sine, SumOfSines, evaluate, max_frequency
+
+    rng = random.Random(kind)
+    made = 0
+    while made < runs:
+        delta = rng.choice(RANDOM_GRIDS)
+        top = 16 * delta
+        clock_freq = rng.choice((100e3, 201e3, 402e3))
+        t_clk = 1.0 / clock_freq
+        settle = rng.choice((0.0, rng.uniform(0.0, 3e-6)))
+        rate = rng.uniform(0.1, 2.0)
+        if kind == "sine":
+            amplitude = delta * rng.uniform(0.5, 24.0)
+            frequency = rate * max_frequency(amplitude, delta, t_clk)
+            phase = rng.uniform(0, 2 * math.pi)
+            spec = Sine(amplitude, frequency, phase, delta * rng.uniform(-14, 14))
+            t_end = rng.uniform(0.5, 5.0) / frequency
+        elif kind == "sum_of_sines":
+            amplitudes = [delta * rng.uniform(0.5, 12.0) for _ in range(rng.choice((2, 3)))]
+            f_max = rate * max_frequency(sum(amplitudes), delta, t_clk)
+            tones = [
+                (a, f_max * rng.uniform(0.2, 1.0), rng.uniform(0, 2 * math.pi)) for a in amplitudes
+            ]
+            spec = SumOfSines(tuple(tones), delta * rng.uniform(-10, 10))
+            t_end = rng.uniform(0.5, 4.0) / f_max
+        elif kind == "ramp":
+            # one level per two clock periods is the tracking limit
+            slope = rng.choice((-1, 1)) * rate * delta / (2 * t_clk)
+            spec = Ramp(delta * rng.uniform(-16, 16), slope)
+            t_end = rng.uniform(0.2, 1.5) * 2 * top / abs(slope)
+        else:
+            period = rng.choice(RANDOM_GRIDS) * 1e-5 * rng.randint(1, 4)
+            # a random walk in eighths of a step, at up to ``rate`` levels
+            # per two clock periods
+            stride = 8 * rate * period / (2 * t_clk)
+            values, v = [], rng.randint(-128, 128)
+            for _ in range(rng.randint(3, 80)):
+                values.append(delta * v / 8)
+                v = max(-200, min(200, v + round(stride * rng.uniform(-1, 1))))
+            spec = Sampled(period, tuple(values))
+            t_end = spec.span * rng.choice((1.0, rng.uniform(0.3, 1.0)))
+        if not -top <= evaluate(spec, 0.0) <= top:
+            continue
+        for _ in range(min(SINE_PHASES if kind == "sine" else 1, runs - made)):
+            clock_phase = rng.randrange(100) / 100 * t_clk
+            config = AdcConfig(delta, 32, -top, clock_freq, clock_phase, settle)
+            yield config, spec, t_end
+            made += 1
+
+
+def random_digests() -> dict[str, str]:
+    """name -> sha256 of the ``to_json`` texts of each kind's random runs."""
+    from lcadc import simulate
+
+    digests = {}
+    for kind in RANDOM_KINDS:
+        texts = [simulate(*run).to_json() for run in random_runs(kind, RANDOM_RUNS)]
+        digests[f"random/{kind}"] = _sha256("\n".join(texts).encode("utf-8"))
+    return digests
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -124,6 +211,7 @@ def run_all(out: str) -> dict[str, str]:
             path = os.path.join(root, fname)
             with open(path, "rb") as fh:
                 digests[os.path.relpath(path, out)] = _sha256(fh.read())
+    digests.update(random_digests())
     return digests
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, make_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,9 +105,8 @@ class AdcConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True, slots=True)
-class CrossingEvent:
-    """One served level crossing.
+class CrossingEvent(NamedTuple):
+    """One served level crossing, as a read-only row of a Trace.
 
     The comparators are off during [t_req, t_on); the code moves from
     code_before to code_after at t_ack.  ``immediate`` marks catch-up
@@ -127,13 +127,20 @@ class CrossingEvent:
         return self.t_on - self.t_req
 
     def to_json_dict(self) -> dict:
-        doc = asdict(self)
+        doc = self._asdict()
         doc["dir"] = doc.pop("direction").value
         return doc
 
 
-# setters of CrossingEvent's slots, in field order
-_EVENT_SLOTS = tuple(getattr(CrossingEvent, f.name).__set__ for f in fields(CrossingEvent))
+# the same fields declared as dataclass fields, so dataclasses.fields, asdict
+# and replace still work on an event
+CrossingEvent.__dataclass_fields__ = make_dataclass(
+    "CrossingEvent",
+    [
+        (name, kind, field(default=CrossingEvent._field_defaults.get(name, MISSING)))
+        for name, kind in CrossingEvent.__annotations__.items()
+    ],
+).__dataclass_fields__
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +161,7 @@ class Trace:
     +1 up or -1 down) and ``immediate`` (a catch-up request, raised at the
     previous t_on exactly; a searched request lies strictly after the
     power-up its search started from) are read-only columns derived from
-    them on first use.  ``events`` shows the rows as CrossingEvent objects.
+    them on first use.  ``events`` shows the rows as CrossingEvent tuples.
 
     saturation lists [start, end] intervals spent pinned at the bottom or top
     code with the comparators on.  overload_time is the first power-up that
@@ -196,23 +203,17 @@ class Trace:
 
     @functools.cached_property
     def events(self) -> tuple[CrossingEvent, ...]:
-        # each view is filled through its slots, past the frozen __init__'s
-        # seven object.__setattr__ calls
-        new = object.__new__
-        set_req, set_dir, set_before, set_after, set_ack, set_on, set_immediate = _EVENT_SLOTS
-        events = []
-        columns = (self.t_req, self.dir, self.code_after, self.t_ack, self.t_on, self.immediate)
-        for t_req, step, code, t_ack, t_on, immediate in zip(*(c.tolist() for c in columns)):
-            event = new(CrossingEvent)
-            set_req(event, t_req)
-            set_dir(event, _DIRECTIONS[step])
-            set_before(event, code - step)
-            set_after(event, code)
-            set_ack(event, t_ack)
-            set_on(event, t_on)
-            set_immediate(event, immediate)
-            events.append(event)
-        return tuple(events)
+        rows = zip(
+            self.t_req.tolist(),
+            map(_DIRECTIONS.__getitem__, self.dir.tolist()),
+            (self.code_after - self.dir).tolist(),
+            self.code_after.tolist(),
+            self.t_ack.tolist(),
+            self.t_on.tolist(),
+            self.immediate.tolist(),
+        )
+        # tuple.__new__ takes each row as it is, without a call into Python
+        return tuple(map(functools.partial(tuple.__new__, CrossingEvent), rows))
 
     def to_json_dict(self) -> dict:
         return self._document([ev.to_json_dict() for ev in self.events])
@@ -406,7 +407,9 @@ def _serve(
     the window of ``code``.
     """
     top = config.level_count - 1
-    lo, hi = config.window(code)
+    # window bounds as ``config.window`` takes them, one call fewer per event
+    level = config.level
+    lo, hi = level(code), level(code + 1)
     t_reqs, t_acks, codes = record.columns
     while now < t_end:
         if served is None:
@@ -442,7 +445,7 @@ def _serve(
         t_reqs.append(t_req)
         t_acks.append(t_ack)
         codes.append(code)
-        lo, hi = config.window(code)
+        lo, hi = level(code), level(code + 1)
         served = direction
 
 

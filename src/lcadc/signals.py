@@ -61,15 +61,24 @@ class Sine:
     offset: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be >= 0")
-        if self.frequency <= 0:
-            raise ValueError("frequency must be > 0")
+        # each bound is checked as a range, which a NaN fails too
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError("amplitude must be finite and >= 0")
+        if not 0 < self.frequency < math.inf:
+            raise ValueError("frequency must be finite and > 0")
+        if not -math.inf < self.phase < math.inf:
+            raise ValueError("phase must be finite")
+        if not -math.inf < self.offset < math.inf:
+            raise ValueError("offset must be finite")
 
 
 @dataclass(frozen=True)
 class Constant:
     value: float
+
+    def __post_init__(self) -> None:
+        if not -math.inf < self.value < math.inf:
+            raise ValueError("value must be finite")
 
 
 @dataclass(frozen=True)
@@ -79,10 +88,22 @@ class Ramp:
     start: float
     slope: float
 
+    def __post_init__(self) -> None:
+        if not -math.inf < self.start < math.inf:
+            raise ValueError("start must be finite")
+        if not -math.inf < self.slope < math.inf:
+            raise ValueError("slope must be finite")
+
 
 @dataclass(frozen=True)
 class SumOfSines:
-    """Sum of (amplitude, frequency, phase) tones above a shared offset."""
+    """Sum of (amplitude, frequency, phase) tones above a shared offset.
+
+    The curvature envelope's constants are computed once per spec, outside
+    the dataclass fields: ``_envelope`` holds each tone as (amplitude,
+    angular frequency w = 2*pi*frequency, phase, amplitude*w), and
+    ``_curvature`` is K = sum(amplitude*w**2), which bounds |v''|.
+    """
 
     tones: tuple[tuple[float, float, float], ...]
     offset: float = 0.0
@@ -93,11 +114,18 @@ class SumOfSines:
         )
         if not self.tones:
             raise ValueError("at least one tone is required")
-        for a, f, _ in self.tones:
-            if a < 0:
-                raise ValueError("tone amplitude must be >= 0")
-            if f <= 0:
-                raise ValueError("tone frequency must be > 0")
+        for a, f, p in self.tones:
+            if not 0 <= a < math.inf:
+                raise ValueError("tone amplitude must be finite and >= 0")
+            if not 0 < f < math.inf:
+                raise ValueError("tone frequency must be finite and > 0")
+            if not -math.inf < p < math.inf:
+                raise ValueError("tone phase must be finite")
+        if not -math.inf < self.offset < math.inf:
+            raise ValueError("offset must be finite")
+        envelope = tuple((a, _TWO_PI * f, p, a * (_TWO_PI * f)) for a, f, p in self.tones)
+        object.__setattr__(self, "_envelope", envelope)
+        object.__setattr__(self, "_curvature", sum(a * w * w for a, w, _, _ in envelope))
 
 
 @dataclass(frozen=True)
@@ -109,10 +137,12 @@ class Sampled:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
+        if not 0 < self.sample_period < math.inf:
+            raise ValueError("sample_period must be finite and > 0")
         if len(self.values) < 2:
             raise ValueError("at least two samples are required")
+        if not all(-math.inf < v < math.inf for v in self.values):
+            raise ValueError("values must be finite")
 
     @property
     def span(self) -> float:
@@ -307,19 +337,40 @@ def _exit(
     if isinstance(spec, Sampled):
         return _sampled_exit(spec, t_from, v0, lo, hi, horizon)
 
-    tones = [(a, _TWO_PI * f, p) for a, f, p in spec.tones]
-    curvature = sum(a * w * w for a, w, _ in tones)  # bounds |v''|
+    envelope = spec._envelope
+    curvature = spec._curvature
     if curvature == 0.0:
         return None
+    offset = spec.offset
     t = t_from
     v = v0
-    slope = sum(a * w * math.cos(w * t + p) for a, w, p in tones)
+    slope = sum(aw * math.cos(w * t + p) for _, w, p, aw in envelope)
     while True:
-        step = min(
-            _reach(hi - v, slope, curvature), _reach(v - lo, -slope, curvature)
-        )
-        t_next = min(t + max(step, _time_tol(t) * _ROOT_STEP_FRACTION), horizon)
-        v, slope = _envelope_step(spec.offset, tones, t_next)
+        # how far the signal, ``gap`` short of each level and moving toward
+        # it at ``rate``, can go without reaching it: the largest s with
+        # rate*s + curvature*s**2/2 <= gap, unbounded toward an infinite
+        # level.  Toward lo the rate is -slope, negated by hand, which
+        # rounds the same
+        step = math.inf
+        gap = hi - v
+        if gap != math.inf:
+            root = math.sqrt(slope * slope + 2.0 * curvature * gap)
+            step = 2.0 * gap / (slope + root) if slope > 0.0 else (root - slope) / curvature
+        gap = v - lo
+        if gap != math.inf:
+            root = math.sqrt(slope * slope + 2.0 * curvature * gap)
+            reach = 2.0 * gap / (root - slope) if slope < 0.0 else (root + slope) / curvature
+            if reach < step:
+                step = reach
+        # at least the floor, a fraction of the time tolerance at t
+        floor = TIME_REL_TOL * abs(t)
+        if not floor > TIME_ABS_TOL:
+            floor = TIME_ABS_TOL
+        floor *= _ROOT_STEP_FRACTION
+        t_next = t + (floor if floor > step else step)
+        if horizon < t_next:
+            t_next = horizon
+        v, slope = _envelope_step(offset, envelope, t_next)
         if v > hi:
             return _bisect_beyond(spec, t, t_next, hi, True), Direction.UP
         if v < lo:
@@ -330,29 +381,20 @@ def _exit(
 
 
 def _envelope_step(
-    offset: float, tones: list[tuple[float, float, float]], t: float
+    offset: float, envelope: tuple[tuple[float, float, float, float], ...], t: float
 ) -> tuple[float, float]:
-    """Value and slope at ``t`` of a sum of sines given as (amplitude,
-    angular frequency, phase) tones, in one pass.  w*t rounds as
-    ``evaluate``'s 2*pi*f*t, and the tones are added in its order, so the
-    value is ``evaluate``'s bit for bit."""
+    """Value and slope at ``t`` of a sum of sines given as its ``_envelope``
+    tones (amplitude, angular frequency, phase, amplitude times angular
+    frequency), in one pass.  w*t rounds as ``evaluate``'s 2*pi*f*t, and the
+    tones are added in its order, so the value is ``evaluate``'s bit for
+    bit."""
     v = offset
     slope = 0.0
-    for a, w, p in tones:
+    for a, w, p, aw in envelope:
         x = w * t + p
         v += a * math.sin(x)
-        slope += a * w * math.cos(x)
+        slope += aw * math.cos(x)
     return v, slope
-
-
-def _reach(gap: float, rate: float, curvature: float) -> float:
-    """Largest s >= 0 with rate*s + curvature*s**2/2 <= gap: how far a
-    signal ``gap`` short of a level, moving toward it at ``rate`` with
-    |acceleration| at most ``curvature``, can go without reaching it."""
-    if gap == math.inf:
-        return math.inf
-    root = math.sqrt(rate * rate + 2.0 * curvature * gap)
-    return 2.0 * gap / (rate + root) if rate > 0.0 else (root - rate) / curvature
 
 
 def _sine_exit(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -596,6 +597,63 @@ def test_search_work_is_pinned(monkeypatch):
     assert (len(trace.events), len(trace.saturation), calls, steps) == (686, 7, 328, 1471)
     trace, calls, _ = _search_work(monkeypatch, Sine(16.0, 1000.0), 0.01)
     assert (len(trace.events), len(trace.saturation), calls) == (619, 0, 1241)
+
+
+def _seeded_tones(seed, amplitude, top_frequency):
+    """Three tones drawn from ``seed``: amplitudes summing to ``amplitude``,
+    frequencies up to ``top_frequency`` hertz, any phase."""
+    rng = random.Random(seed)
+    weights = [rng.uniform(0.2, 1.0) for _ in range(3)]
+    return tuple(
+        (amplitude * w / sum(weights), rng.uniform(0.1, 1.0) * top_frequency, rng.uniform(0.0, 6.28))
+        for w in weights
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, amplitude, top_frequency, shape, digest",
+    [
+        # inside the range and below the tracking limit
+        (1, 12.0, 600.0, (110, 0, False), "d32432c2d108191ee3c1db5a78637f04916711e0b9e9ecdbec9555e05bbffb3b"),
+        # into both rails: entry searches on half-lines
+        (6, 22.0, 300.0, (104, 2, False), "b6a88ce582880a9e6dbbd57063e335b8226b98a9957dfe41a700d313c5bdae73"),
+        # past the slew limit: catch-up requests and overload
+        (3, 12.0, 3000.0, (440, 0, True), "3c475b930731a5cd655dc622b004c985639ee85eb16a2be2610aaa4734180641"),
+    ],
+)
+def test_sum_of_sines_trace_bytes_are_pinned(seed, amplitude, top_frequency, shape, digest):
+    # the curvature-envelope search decides every request of a sum of
+    # sines, so a change to its float operations moves these bytes
+    trace = simulate(default_config(), SumOfSines(_seeded_tones(seed, amplitude, top_frequency)), 0.01)
+    assert (len(trace.t_req), len(trace.saturation), trace.overload) == shape
+    assert hashlib.sha256(trace.to_json().encode()).hexdigest() == digest
+
+
+def test_event_rows_match_the_columns():
+    # a trace with a settle time, catch-up requests and rail crossings:
+    # every row of ``events`` reads its fields from the columns
+    config = default_config(clock_phase=1e-6, settle_time=1e-6)
+    trace = simulate(config, SumOfSines(_seeded_tones(3, 20.0, 3000.0)), 0.005)
+    assert trace.immediate.any() and trace.saturation and config.settle_time > 0
+    events = trace.events
+    assert len(events) == len(trace.t_req)
+    for j, ev in enumerate(events):
+        step = int(trace.dir[j])
+        assert ev.t_req == trace.t_req[j] and ev.t_ack == trace.t_ack[j]
+        assert ev.t_on == trace.t_on[j] == ev.t_ack + 1e-6
+        assert ev.direction is (Direction.UP if step == 1 else Direction.DOWN)
+        assert ev.code_after == trace.code_after[j]
+        assert ev.code_before == ev.code_after - step
+        assert ev.immediate is bool(trace.immediate[j])
+        assert ev.off_duration == ev.t_on - ev.t_req
+        assert [type(v) for v in ev] == [float, Direction, int, int, float, float, bool]
+    # a row is a read-only tuple; dataclasses.replace makes a changed copy
+    ev = events[0]
+    with pytest.raises(AttributeError):
+        ev.t_req = 0.0
+    with pytest.raises(TypeError):
+        ev[0] = 0.0
+    assert ev == tuple(ev) and replace(ev, immediate=not ev.immediate)[:6] == ev[:6]
 
 
 def _loop_trace(config, spec, t_end):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -135,6 +137,63 @@ def test_spec_validation():
         Sampled(sample_period=1.0, values=(0.0,))
     with pytest.raises(ValueError):
         SumOfSines(tones=())
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda: Sine(16.0, _INF), "frequency"),
+        (lambda: Sine(_NAN, 1e3), "amplitude"),
+        (lambda: Sine(_INF, 1e3), "amplitude"),
+        (lambda: Sine(1.0, 1e3, phase=_INF), "phase"),
+        (lambda: Sine(1.0, 1e3, offset=_NAN), "offset"),
+        (lambda: Constant(_NAN), "value"),
+        (lambda: Constant(-_INF), "value"),
+        (lambda: Ramp(0.0, _NAN), "slope"),
+        (lambda: Ramp(_INF, 1.0), "start"),
+        (lambda: SumOfSines(((1.0, _INF, 0.0),)), "frequency"),
+        (lambda: SumOfSines(((_NAN, 1e3, 0.0),)), "amplitude"),
+        (lambda: SumOfSines(((1.0, 1e3, -_INF),)), "phase"),
+        (lambda: SumOfSines(((1.0, 1e3, 0.0),), offset=_NAN), "offset"),
+        (lambda: Sampled(_NAN, (0.0, 1.0)), "sample_period"),
+        (lambda: Sampled(_INF, (0.0, 1.0)), "sample_period"),
+        (lambda: Sampled(1e-3, (0.0, _NAN, 1.0)), "values"),
+        (lambda: Sampled(1e-3, (_INF, 0.0)), "values"),
+    ],
+)
+def test_spec_rejects_non_finite_fields(make, name):
+    # each spec checks every number it holds when it is built, and names
+    # the field, rather than failing later in a search or a conversion
+    with pytest.raises(ValueError, match=name):
+        make()
+
+
+def test_sum_of_sines_envelope_constants_are_not_fields():
+    # the curvature envelope's constants are computed once per spec and kept
+    # outside the dataclass fields, so none of the dataclass behaviour sees
+    # them
+    spec = SumOfSines(((1, 1e3, 0.5), (2.5, 3e3, 0)), offset=0.25)
+    twin = SumOfSines(((1.0, 1000.0, 0.5), (2.5, 3000.0, 0.0)), offset=0.25)
+    assert spec == twin and hash(spec) == hash(twin)
+    assert spec != SumOfSines(((1.0, 1000.0, 0.5),), offset=0.25)
+    assert repr(spec) == "SumOfSines(tones=((1.0, 1000.0, 0.5), (2.5, 3000.0, 0.0)), offset=0.25)"
+    assert [f.name for f in dataclasses.fields(spec)] == ["tones", "offset"]
+    assert dataclasses.asdict(spec) == {
+        "tones": ((1.0, 1000.0, 0.5), (2.5, 3000.0, 0.0)),
+        "offset": 0.25,
+    }
+    w = (2.0 * math.pi * 1e3, 2.0 * math.pi * 3e3)
+    assert spec._envelope == ((1.0, w[0], 0.5, 1.0 * w[0]), (2.5, w[1], 0.0, 2.5 * w[1]))
+    assert spec._curvature == 1.0 * w[0] * w[0] + 2.5 * w[1] * w[1]
+    # a replaced or unpickled spec carries the constants of its own tones
+    moved = dataclasses.replace(spec, tones=((4.0, 2e3, 0.1),))
+    assert moved._envelope == SumOfSines(((4.0, 2e3, 0.1),), offset=0.25)._envelope
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec)
+    assert (copy._envelope, copy._curvature) == (spec._envelope, spec._curvature)
 
 
 def test_exit_ramp_linear():

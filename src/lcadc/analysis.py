@@ -14,6 +14,7 @@ from dataclasses import asdict, astuple, dataclass, fields, replace
 
 import numpy as np
 
+from . import __version__
 from .engine import AdcConfig, Trace, simulate
 from .power import (
     ModelDomainError,
@@ -254,8 +255,6 @@ def sweep(
                 overload=trace.overload,
             )
         )
-
-    from . import __version__
 
     meta = {
         "kind": kind,

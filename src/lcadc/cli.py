@@ -51,18 +51,20 @@ def _parse_grid(spec: str) -> list[float]:
         count = int(fields[2])
     except ValueError as exc:
         raise ConfigFileError(f"bad grid spec {spec!r}: {exc}") from exc
-    log = False
-    if len(fields) == 4:
-        if fields[3] != "log":
-            raise ConfigFileError(f"bad grid spec {spec!r}: trailing field must be 'log'")
-        log = True
+    log = fields[3:] == ["log"]
+    if len(fields) == 4 and not log:
+        raise ConfigFileError(f"bad grid spec {spec!r}: trailing field must be 'log'")
     if count < 1:
         raise ConfigFileError(f"bad grid spec {spec!r}: count must be >= 1")
+    if log and count > 1 and (start <= 0 or stop <= 0):
+        raise ConfigFileError(f"bad grid spec {spec!r}: log grids need positive bounds")
+    return _grid(start, stop, count, log)
+
+
+def _grid(start: float, stop: float, count: int, log: bool) -> list[float]:
     if count == 1:
         return [start]
     if log:
-        if start <= 0 or stop <= 0:
-            raise ConfigFileError(f"bad grid spec {spec!r}: log grids need positive bounds")
         ratio = (stop / start) ** (1.0 / (count - 1))
         return [start * ratio**i for i in range(count)]
     step = (stop - start) / (count - 1)
@@ -150,7 +152,7 @@ def _cmd_boundary(run: RunConfig, args: argparse.Namespace) -> _Output:
         grid = fixed_grid
         if grid is None:
             knee = max_frequency(a_limit, run.adc.delta, 1.0 / clk)
-            grid = _parse_grid(f"{knee / 100.0}:{knee * 100.0}:61:log")
+            grid = _grid(knee / 100.0, knee * 100.0, 61, True)
         curve = boundary_curve(clk, run.adc.delta, a_limit, grid)
         files[name] = "f_hz,a_max\n" + "".join(f"{f!r},{a!r}\n" for f, a in curve.points)
         meta_curves.append({"clock_freq": clk, "points": len(curve.points), "file": name})

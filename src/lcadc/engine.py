@@ -73,8 +73,9 @@ class AdcConfig:
         # each bound is checked as a range, which a NaN fails too
         if not 0 < self.delta < math.inf:
             raise ConfigError("delta must be finite and > 0")
-        if not 2 <= self.level_count < math.inf:
-            raise ConfigError("level_count must be finite and >= 2")
+        # the range first, so int() never sees an infinity or a NaN
+        if not 2 <= self.level_count < math.inf or self.level_count != int(self.level_count):
+            raise ConfigError("level_count must be a finite integer >= 2")
         if not math.isfinite(self.v_min):
             raise ConfigError("v_min must be finite")
         if not 0 < self.clock_freq < math.inf:
@@ -351,8 +352,8 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
     Past the tracking limit a catch-up comes within a few events, so later
     runs fall back early.  Other waveforms run the loop from t=0.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be finite and > 0")
     code = initial_code(config, spec)
     record = _Record()
     requests = None

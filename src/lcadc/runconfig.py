@@ -69,8 +69,8 @@ def parse_number(text: str) -> float:
     return value
 
 
-# key -> default raw value; values are parsed lazily so errors name the key
-# that carried them
+# key -> default raw value, None for a key that has no default; values are
+# parsed lazily so errors name the key that carried them
 _KNOWN_KEYS = {
     "signal.type": "sine",
     "signal.amplitude": "16",
@@ -80,9 +80,9 @@ _KNOWN_KEYS = {
     "signal.value": "0",
     "signal.start": "0",
     "signal.slope": "0",
-    "signal.tones": "",
-    "signal.sample_period": "0",
-    "signal.values": "",
+    "signal.tones": None,
+    "signal.sample_period": None,
+    "signal.values": None,
     "adc.delta": "1",
     "adc.levels": "32",
     "adc.v_min": "-16",
@@ -143,6 +143,8 @@ class _Table:
     def raw(self, key: str) -> str:
         if key in self._table:
             return self._table[key][0]
+        if _KNOWN_KEYS[key] is None:
+            raise ConfigFileError("missing required key", key=key)
         return _KNOWN_KEYS[key]
 
     def line(self, key: str) -> int | None:
@@ -162,10 +164,6 @@ class _Table:
                 f"expected an integer, got {value}", key=key, line=self.line(key)
             )
         return int(value)
-
-    def require(self, key: str) -> None:
-        if key not in self._table:
-            raise ConfigFileError("missing required key", key=key)
 
     def error(self, key: str, message: str) -> ConfigFileError:
         return ConfigFileError(message, key=key, line=self.line(key))
@@ -187,7 +185,6 @@ def _build_signal(tb: _Table) -> SignalSpec:
     if kind == "ramp":
         return Ramp(start=tb.number("signal.start"), slope=tb.number("signal.slope"))
     if kind == "sum_of_sines":
-        tb.require("signal.tones")
         tones = []
         for part in tb.raw("signal.tones").split(","):
             fields = [p.strip() for p in part.strip().split(":")]
@@ -204,15 +201,14 @@ def _build_signal(tb: _Table) -> SignalSpec:
             tones.append((amp, freq, phase))
         return SumOfSines(tones=tuple(tones), offset=tb.number("signal.offset"))
     # sampled
-    tb.require("signal.sample_period")
-    tb.require("signal.values")
+    sample_period = tb.number("signal.sample_period")
     try:
         values = tuple(
             parse_number(p) for p in tb.raw("signal.values").split(",") if p.strip()
         )
     except ValueError as exc:
         raise tb.error("signal.values", str(exc)) from exc
-    return Sampled(sample_period=tb.number("signal.sample_period"), values=values)
+    return Sampled(sample_period=sample_period, values=values)
 
 
 @contextmanager

@@ -5,15 +5,17 @@ kind and both directions of travel: it finds the earliest traversal out of
 an interval.  A window exit leaves the window; a re-entry after range
 saturation is the exit from the half-line past the boundary the signal is
 on.  Sines, ramps and sampled (piecewise-linear) waveforms are solved in
-closed form, and every closed-form root goes through one confirm step, so
-all kinds follow one rule: the returned time is strictly beyond the level,
-and a root at the horizon counts only if the signal is already beyond
-there.  Sums of sines step forward by a certified curvature envelope (the
-second-derivative form of Lipschitz root isolation, Shubert 1972): with
-K = sum(a*w**2) bounding |v''|, the signal stays between v + v'*s -/+ K*s**2/2
-over the next s seconds, so each step is the longest one that envelope
-keeps inside the interval, but at least a floor far below the time
-tolerance.  Only an excursion briefer than that floor could be stepped over.
+closed form, each root from the waveform piece and the level alone, never
+from where the search started, and every closed-form root goes through one
+confirm step, so all kinds follow one rule: the returned time is strictly
+beyond the level, and a root at the horizon counts only if the signal is
+already beyond there.  Sums of sines step forward by a certified curvature
+envelope (the second-derivative form of Lipschitz root isolation, Shubert
+1972): with K = sum(a*w**2) bounding |v''|, the signal stays between
+v + v'*s -/+ K*s**2/2 over the next s seconds, so each step is the longest
+one that envelope keeps inside the interval, but at least a floor far below
+the time tolerance.  Only an excursion briefer than that floor could be
+stepped over.
 """
 
 from __future__ import annotations
@@ -260,13 +262,14 @@ def next_window_exit(
     """Earliest t in (t_from, horizon] where the signal traverses ``hi``
     (Direction.UP) or ``lo`` (Direction.DOWN), or None if it stays inside.
 
-    The signal must start inside the window (boundary contact allowed);
-    starting strictly outside raises WindowStartError, which is distinct from
-    the no-exit result.  Grazing a boundary without traversal does not count
-    as an exit.  For every waveform kind the returned time lies just past the
-    true crossing, within max(1e-12 s, 1e-9 relative), and the signal
-    evaluates strictly beyond the boundary there; a crossing at the horizon
-    counts only if the signal is already beyond at the horizon.
+    The horizon must be finite and lie after ``t_from``.  The signal must
+    start inside the window (boundary contact allowed); starting strictly
+    outside raises WindowStartError, which is distinct from the no-exit
+    result.  Grazing a boundary without traversal does not count as an
+    exit.  For every waveform kind the returned time lies just past the true
+    crossing, within max(1e-12 s, 1e-9 relative), and the signal evaluates
+    strictly beyond the boundary there; a crossing at the horizon counts
+    only if the signal is already beyond at the horizon.
 
     Sines, ramps and sampled waveforms are solved in closed form.  Sums of
     sines step by a curvature envelope that certifies each step stays inside
@@ -275,8 +278,8 @@ def next_window_exit(
     """
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
-    if not horizon > t_from:
-        raise ValueError("horizon must lie after t_from")
+    if not t_from < horizon < math.inf:
+        raise ValueError("horizon must be finite and lie after t_from")
     v0 = evaluate(spec, t_from)
     if v0 > hi or v0 < lo:
         raise WindowStartError(
@@ -302,8 +305,8 @@ def next_window_entry(
     """
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
-    if not horizon > t_from:
-        raise ValueError("horizon must lie after t_from")
+    if not t_from < horizon < math.inf:
+        raise ValueError("horizon must be finite and lie after t_from")
     v0 = evaluate(spec, t_from)
     if lo < v0 < hi:
         return t_from
@@ -332,10 +335,10 @@ def _exit(
             return None
         rising = spec.slope > 0.0
         level = hi if rising else lo
-        t_root = t_from + (level - v0) / spec.slope
+        t_root = (level - spec.start) / spec.slope
         return _confirm(spec, t_from, t_root, horizon, level, rising)
     if isinstance(spec, Sampled):
-        return _sampled_exit(spec, t_from, v0, lo, hi, horizon)
+        return _sampled_exit(spec, t_from, lo, hi, horizon)
 
     envelope = spec._envelope
     curvature = spec._curvature
@@ -416,11 +419,11 @@ def _sine_excursions(
     """The excursions beyond ``hi`` (upward) and ``lo`` (downward) that a
     sine search from ``t_from`` tries, earliest root first.
 
-    With s = (level - offset)/amplitude, the signal lies strictly beyond the
-    level on phase intervals of half-width pi/2 - asin(s) around pi/2
-    (upward) or pi/2 + asin(s) around -pi/2 (downward), plus 2*pi*k.  A level
-    the extremum only touches (s >= 1 upward, s <= -1 downward), or an
-    infinite one, is never traversed.  For each other level the excursion is
+    With sign +1 for ``hi`` (upward) and -1 for ``lo`` (downward), and
+    s = sign*(level - offset)/amplitude, the signal lies strictly beyond the
+    level on phase intervals of half-width pi/2 - asin(s) around sign*pi/2,
+    plus 2*pi*k.  A level the extremum only touches (s >= 1), or an infinite
+    one, is never traversed.  For each other level the excursion is
     the first whose extremum lies after t_from, as (t_root, t_peak, level,
     rising, shifted); ``shifted`` marks an extremum moved one period on
     because rounding put t_from on it.  A root at or before t_from is a start
@@ -431,22 +434,17 @@ def _sine_excursions(
     omega = 2.0 * math.pi * spec.frequency
     theta0 = omega * t_from + spec.phase
     excursions = []
-    for level, rising in ((hi, True), (lo, False)):
-        s = (level - spec.offset) / spec.amplitude
-        if rising:
-            if s >= 1.0:
-                continue
-            center, half = 0.5 * math.pi, 0.5 * math.pi - math.asin(max(s, -1.0))
-        else:
-            if s <= -1.0:
-                continue
-            center, half = -0.5 * math.pi, 0.5 * math.pi + math.asin(min(s, 1.0))
+    for level, sign in ((hi, 1.0), (lo, -1.0)):
+        s = sign * ((level - spec.offset) / spec.amplitude)
+        if s >= 1.0:
+            continue
+        center, half = sign * 0.5 * math.pi, 0.5 * math.pi - math.asin(max(s, -1.0))
         k = math.floor((theta0 - center) / _TWO_PI) + 1
         t_peak = (center + _TWO_PI * k - spec.phase) / omega
         shifted = t_peak <= t_from
         if shifted:
             t_peak += _TWO_PI / omega
-        excursions.append((t_peak - half / omega, t_peak, level, rising, shifted))
+        excursions.append((t_peak - half / omega, t_peak, level, sign > 0.0, shifted))
     excursions.sort(key=lambda r: r[0])
     return excursions
 
@@ -471,30 +469,30 @@ def _sine_stable_until(spec: Sine, t_from: float, lo: float, hi: float) -> float
 
 
 def _sampled_exit(
-    spec: Sampled, t_from: float, v0: float, lo: float, hi: float, horizon: float
+    spec: Sampled, t_from: float, lo: float, hi: float, horizon: float
 ) -> tuple[float, Direction] | None:
     """Walk the linear segments up to ``horizon``; the first segment that
-    ends beyond a level holds the root, with the segment end as its bound."""
+    ends beyond a level holds the root, interpolated between its own two
+    samples, with the segment end as its bound."""
     if horizon > spec.span + TIME_ABS_TOL:
         raise OutOfSpanError(
             f"horizon {horizon} beyond sampled span [0, {spec.span}]"
         )
-    dt = spec.sample_period
-    n_seg = len(spec.values) - 1
-    t_a, v_a = t_from, v0
+    dt, values = spec.sample_period, spec.values
+    n_seg = len(values) - 1
     for j in range(min(int(t_from / dt), n_seg - 1), n_seg):
         t_b = min((j + 1) * dt, horizon)
-        if t_b <= t_a:
+        if t_b <= t_from:
             continue
         v_b = evaluate(spec, t_b)
         if v_b > hi or v_b < lo:
             rising = v_b > hi
             level = hi if rising else lo
-            t_root = t_a + (level - v_a) / ((v_b - v_a) / (t_b - t_a))
+            t_a, t_z = j * dt, (j + 1) * dt
+            t_root = t_a + (level - values[j]) / ((values[j + 1] - values[j]) / (t_z - t_a))
             return _confirm(spec, t_from, t_root, t_b, level, rising)
         if t_b >= horizon:
             return None
-        t_a, v_a = t_b, v_b
     return None
 
 

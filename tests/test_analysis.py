@@ -162,6 +162,24 @@ def test_monte_carlo_constant_signal_empty_stats():
     assert sum(stats.counts) == 0
 
 
+def test_monte_carlo_rejects_a_nan_span():
+    with pytest.raises(ValueError, match="t_end"):
+        monte_carlo_off_time(default_config(), Sine(16.0, 1e3), math.nan, trials=2, seed=0)
+
+
+def test_sweep_rejects_nan_periods():
+    with pytest.raises(ValueError, match="t_end"):
+        sweep(
+            "frequency",
+            [1e3],
+            config=default_config(),
+            signal=Sine(16.0, 1e3),
+            params=PowerParams(),
+            seed=0,
+            periods=math.nan,
+        )
+
+
 def test_sweep_frequency_monotone_and_inside_analytic():
     cfg = default_config()
     sine = Sine(amplitude=16.0, frequency=1000.0, offset=0.0)

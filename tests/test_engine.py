@@ -148,6 +148,21 @@ def test_config_validation():
         AdcConfig(delta=1.0, level_count=4, v_min=0.0, clock_freq=1000.0, clock_phase=2e-3)
 
 
+@pytest.mark.parametrize("levels", [32.5, 2.000001])
+def test_config_rejects_a_fractional_level_count(levels):
+    # 32.5 levels would put input_limit at 16.5 V, past the top window's
+    # 16 V, and quantize a 16.2 V input to the float code 31.5
+    with pytest.raises(ConfigError, match="finite integer >= 2"):
+        AdcConfig(delta=1.0, level_count=levels, v_min=-16.0, clock_freq=201e3)
+
+
+@pytest.mark.parametrize("levels", [math.inf, math.nan])
+def test_config_rejects_a_non_finite_level_count_by_its_range(levels):
+    # int() of these would raise OverflowError or a bare ValueError
+    with pytest.raises(ConfigError, match="finite integer >= 2"):
+        AdcConfig(delta=1.0, level_count=levels, v_min=-16.0, clock_freq=201e3)
+
+
 def test_input_limit_identity():
     cfg = default_config()
     assert cfg.input_limit - cfg.v_min == pytest.approx(32 * cfg.delta, rel=1e-15)
@@ -165,6 +180,27 @@ def test_simulate_rejects_bad_span():
     cfg = default_config()
     with pytest.raises(ValueError):
         simulate(cfg, Constant(0.0), 0.0)
+
+
+_EVERY_KIND = [
+    Constant(0.5),
+    Ramp(start=0.0, slope=1e3),
+    Sine(amplitude=16.0, frequency=1e3),
+    SumOfSines(tones=((8.0, 1e3, 0.0), (4.0, 3e3, 0.5))),
+    Sampled(sample_period=1e-3, values=(0.0, 3.0, -2.0)),
+]
+
+
+# NaN on every kind, where it gave an empty trace and a NaN average power;
+# inf on the kinds where it returns (on a sine it never did)
+@pytest.mark.parametrize(
+    "spec, t_end",
+    [(spec, math.nan) for spec in _EVERY_KIND] + [(spec, math.inf) for spec in _EVERY_KIND[:2]],
+    ids=lambda x: type(x).__name__ if not isinstance(x, float) else repr(x),
+)
+def test_simulate_rejects_a_non_finite_span(spec, t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        simulate(default_config(), spec, t_end)
 
 
 def test_simulate_ramp_hand_example():

@@ -128,9 +128,9 @@ def test_sum_of_sines_signal():
 
 
 def test_sum_of_sines_requires_tones():
-    with pytest.raises(ConfigFileError) as err:
+    with pytest.raises(ConfigFileError, match="missing required key") as err:
         parse("signal.type = sum_of_sines\n")
-    assert "signal.tones" in str(err.value)
+    assert "signal.tones" in str(err.value) and err.value.key == "signal.tones"
 
 
 def test_sampled_signal():
@@ -151,8 +151,15 @@ def test_sampled_span_must_cover_the_run():
 
 
 def test_sampled_requires_values():
-    with pytest.raises(ConfigFileError):
+    with pytest.raises(ConfigFileError, match="missing required key") as err:
         parse("signal.type = sampled\nsignal.sample_period = 1m\n")
+    assert err.value.key == "signal.values"
+
+
+def test_sampled_requires_sample_period():
+    with pytest.raises(ConfigFileError, match="missing required key") as err:
+        parse("signal.type = sampled\nsignal.values = 0, 1\n")
+    assert err.value.key == "signal.sample_period"
 
 
 def test_bad_signal_type():

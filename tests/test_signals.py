@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -587,6 +587,16 @@ def test_sampled_exit_single_rule(period, eighths, start, gaps, stretch):
         _check_linear_exit(spec, t_from, lo, hi, horizon, root, rising, slope)
 
 
+def test_sampled_exit_where_the_crossing_segment_starts_at_the_horizon():
+    # 1 - ulp divided by the period rounds to 3, so the start takes segment
+    # 3, whose first sample, beyond hi, lies an ulp later on the horizon: a
+    # root interpolated to the horizon would divide by zero
+    spec = Sampled(sample_period=1 / 3, values=(0.0, 0.0, 0.0, 1.0, 1e6))
+    t_from, hi = math.nextafter(1.0, 0.0), 1.0 - 1e-12
+    assert evaluate(spec, t_from) < hi < evaluate(spec, 1.0)
+    assert next_window_exit(spec, t_from, -1.0, hi, 1.0) == (1.0, Direction.UP)
+
+
 def test_exit_ramp_boundary_start_moving_outward():
     spec = Ramp(start=1.0, slope=2.0)
     got = next_window_exit(spec, 0.0, 0.0, 1.0, 5.0)
@@ -632,3 +642,81 @@ def test_entry_sum_of_sines_against_dense_grid(lo, hi, from_above):
     assert crossings == ((0, 1) if from_above else (1, 0))
     back = evaluate(spec, t_in - 2 * _tol(t_in))
     assert back >= hi if from_above else back <= lo
+
+
+_EVERY_KIND = [
+    Constant(0.5),
+    Ramp(start=0.0, slope=1e3),
+    Sine(amplitude=16.0, frequency=1e3),
+    SumOfSines(tones=((8.0, 1e3, 0.0), (4.0, 3e3, 0.5))),
+    Sampled(sample_period=1e-3, values=(0.0, 3.0, -2.0)),
+]
+
+
+# inf on every kind but a sum of sines, which searched it forever if the
+# signal stayed inside
+@pytest.mark.parametrize(
+    "spec, horizon",
+    [(spec, math.nan) for spec in _EVERY_KIND] + [(spec, math.inf) for spec in _EVERY_KIND[:3]],
+    ids=lambda x: type(x).__name__ if not isinstance(x, float) else repr(x),
+)
+@pytest.mark.parametrize("search", [next_window_exit, next_window_entry])
+def test_search_rejects_a_non_finite_horizon(search, spec, horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        search(spec, 0.0, -1.0, 1.0, horizon)
+
+
+def _grid_window(delta, v):
+    """The window of the 32-level grid of step ``delta`` centred on 0 V, as
+    ``AdcConfig.window`` builds it, that holds ``v``; None if rounding puts
+    ``v`` outside the window its quotient names."""
+    v_min = -16 * delta
+    code = math.floor((v - v_min) / delta)
+    lo, hi = v_min + code * delta, v_min + (code + 1) * delta
+    return (lo, hi) if lo <= v <= hi else None
+
+
+# where a start falls in (t1, t_x - 2 * _tol(t_x)), often close to its end
+_LATE = st.one_of(st.floats(0.0, 1.0), st.floats(0.999, 1.0), st.floats(1 - 1e-6, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta=st.sampled_from([1.0, 0.1, 1.0 / 3.0]),
+    start=st.floats(-16.0, 16.0),
+    slope=st.floats(-6.0, 6.0).filter(lambda e: abs(e) >= 1.0),
+    t1=st.floats(0.0, 1e-2),
+    late=_LATE,
+)
+def test_ramp_exit_does_not_depend_on_the_start(delta, start, slope, t1, late):
+    # slopes of 10 to 1e6 grid steps per second
+    spec = Ramp(start=delta * start, slope=math.copysign(delta * 10 ** abs(slope), slope))
+    window = _grid_window(delta, evaluate(spec, t1))
+    assume(window is not None)
+    found = next_window_exit(spec, t1, *window, 1e3)
+    t_x = found[0]
+    t2 = t1 + late * (t_x - 2 * _tol(t_x) - t1)
+    assume(t1 < t2 < t_x - 2 * _tol(t_x))
+    assert next_window_exit(spec, t2, *window, 1e3) == found
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta=st.sampled_from([1.0, 0.1, 1.0 / 3.0]),
+    period=st.sampled_from([1e-5, 2e-5, 3e-6, 1e-5 / 3.0, 0.1]),
+    eighths=st.lists(st.integers(-128, 128), min_size=2, max_size=40),
+    first=st.floats(0.0, 1.0, exclude_max=True),
+    late=_LATE,
+)
+def test_sampled_exit_does_not_depend_on_the_start(delta, period, eighths, first, late):
+    # sample values on eighths of a grid step, so samples often land on a level
+    spec = Sampled(sample_period=period, values=tuple(delta * v / 8 for v in eighths))
+    t1 = first * spec.span
+    window = _grid_window(delta, evaluate(spec, t1))
+    assume(window is not None)
+    found = next_window_exit(spec, t1, *window, spec.span)
+    assume(found is not None)
+    t_x = found[0]
+    t2 = t1 + late * (t_x - 2 * _tol(t_x) - t1)
+    assume(t1 < t2 < t_x - 2 * _tol(t_x))
+    assert next_window_exit(spec, t2, *window, spec.span) == found

@@ -27,7 +27,8 @@ from .signals import (
     SignalSpec,
     Sine,
     _evaluate_array,
-    _sine_stable_until,
+    _inside,
+    _sine_chain,
     evaluate,
     next_window_entry,
     next_window_exit,
@@ -37,9 +38,6 @@ from .signals import (
 # skipped by the strictly-after rule; doubles amply resolve it for the
 # microsecond-scale periods this model targets.
 EDGE_TOLERANCE = 1e-12
-# Share of a sine's full scale within which a vectorized window check defers
-# to the scalar evaluate.
-_VALUE_GUARD = 1e-9
 _SEPARATORS = (",", ":")
 _DIRECTIONS = {1: Direction.UP, -1: Direction.DOWN}
 # dtypes of the t_req, t_ack and code_after columns
@@ -76,6 +74,8 @@ class AdcConfig:
         # the range first, so int() never sees an infinity or a NaN
         if not 2 <= self.level_count < math.inf or self.level_count != int(self.level_count):
             raise ConfigError("level_count must be a finite integer >= 2")
+        # an integral float such as 32.0 is kept as the int it stands for
+        object.__setattr__(self, "level_count", int(self.level_count))
         if not math.isfinite(self.v_min):
             raise ConfigError("v_min must be finite")
         if not 0 < self.clock_freq < math.inf:
@@ -333,41 +333,37 @@ def simulate(config: AdcConfig, spec: SignalSpec, t_end: float) -> Trace:
 
     A sine input first takes the lockstep path.  Its window exits do not
     depend on the clock as long as each power-up finds the input inside the
-    shifted window before its next exit.  So the requests a run served
-    before its first catch-up request serve every run on the same input,
-    level grid and span.  They are read from the run's finished trace, and
-    the loop records nothing; of the runs that went through it, the one
-    whose first catch-up comes latest is kept, the trace itself, since its
-    columns are read-only, and a Monte Carlo run over clock phases searches
-    once.  A run that finds a kept trace computes the ACK times of its
-    requests at once with a vectorized ``ack_time`` and certifies each
-    served request.  Its power-up, and the kept run's, where that run's next
-    search started, must both lie before the ``_sine_stable_until`` bound
-    from the request.  The power-up must also find the input inside the
-    shifted window; values within 1e-9 of full scale of a boundary are
-    rechecked with the scalar ``evaluate``.  The loop's own search from such
-    a power-up returns exactly the kept next request, so the certified
-    prefix is the loop's trace bit for bit.  The loop takes over after the
-    first request that fails, from its code, power-up time and direction.
-    Past the tracking limit a catch-up comes within a few events, so later
+    shifted window before its next exit.  So one request list, solved in
+    closed form from t=0 with each search started at the previous request
+    (``signals._sine_chain``), serves every run on the same input, level
+    grid and span.  It ends at the first request whose next root comes
+    within a clock period, which no run at that clock frequency serves
+    past; the last list is cached per clock frequency, and a Monte Carlo
+    run over clock phases solves it once.  A run computes the ACK times of the
+    listed requests at once with a vectorized ``ack_time`` and certifies
+    each served request: its power-up must lie before the request's
+    ``limit``, the earliest root the search from the request tries, less a
+    time tolerance, and must find the input inside the shifted window;
+    values within 1e-9 of full scale of a boundary are rechecked with the
+    scalar ``evaluate``.  The loop's own search from such a power-up returns
+    exactly the next listed request, so the certified prefix is the loop's
+    trace bit for bit, whichever runs came before.  The loop takes over
+    after the first request that fails, from its code, power-up time and
+    direction, and after the end of a list the arrays could not finish.
+    Past the tracking limit a catch-up comes within a few events, so those
     runs fall back early.  Other waveforms run the loop from t=0.
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be finite and > 0")
     code = initial_code(config, spec)
     record = _Record()
-    requests = None
     resume = (code, 0.0, None)
     if isinstance(spec, Sine):
-        grid = replace(config, clock_freq=1.0, clock_phase=0.0, settle_time=0.0)
-        requests = _sine_requests(spec, grid, t_end)
-        resume = _lockstep(config, spec, record, code, requests)
+        grid = replace(config, clock_phase=0.0, settle_time=0.0)
+        resume = _lockstep(config, spec, record, code, _sine_requests(spec, grid, t_end))
     if resume is not None:
         _serve(config, spec, t_end, record, *resume)
-    trace = record.trace(config, code, t_end)
-    if resume is not None and requests is not None:
-        requests.offer(trace)
-    return trace
+    return record.trace(config, code, t_end)
 
 
 class _Record:
@@ -450,87 +446,28 @@ def _serve(
         served = direction
 
 
-class _SineRequests:
-    """The requests a sine input raises on one level grid, shared by runs at
-    every clock.
-
-    They are read from a finished trace: every request its run served
-    before its first catch-up request, with the rail crossings among them.
-    Each search in that prefix started where the clock cannot move it, at
-    t=0, at the power-up after a served request, or at the end of a rail
-    crossing.  Of the traces offered, the one whose first catch-up request
-    comes latest (``reach``; inf for a trace without one) is kept, with no
-    copy: no caller can write to its columns.
-    """
-
-    def __init__(self, spec: Sine, grid: AdcConfig) -> None:
-        self.spec = spec
-        self.grid = grid
-        self.trace: Trace | None = None
-        self.reach = -math.inf
-        self._columns: tuple | None = None
-
-    def offer(self, trace: Trace) -> None:
-        """Keep ``trace`` if its first catch-up request comes later than the
-        kept one's: its first immediate request, or ``overload_time`` if that
-        is earlier.  A catch-up into a rail serves no event, but it runs in
-        the crossing direction that reached the rail, so it sets
-        ``overload_time`` unless an earlier catch-up did."""
-        reach = float(trace.t_req[trace.immediate].min(initial=math.inf))
-        if trace.overload_time is not None:
-            reach = min(reach, trace.overload_time)
-        if reach > self.reach:
-            self.trace, self.reach, self._columns = trace, reach, None
-
-    def columns(self) -> tuple | None:
-        """t_req, dir, code_after, limit, lo and hi of the served requests
-        in the kept trace's catch-up-free prefix, as arrays, then the rail
-        crossings among them as (start, end) pairs; None while no trace is
-        kept.  lo and hi bound the window after each request.
-
-        A power-up before ``limit``, inside the window, finds the kept next
-        request: ``limit`` is the ``_sine_stable_until`` bound from the
-        request if the kept run's power-up after it, where its next search
-        started, came before that bound, else -inf.  It is -inf for the last
-        request if a catch-up request followed it or the span ended before a
-        search.  The bounds are computed once per kept trace, when a run
-        reads them.
-        """
-        trace, cut = self.trace, self.reach
-        if self._columns is None and trace is not None:
-            n = int(np.searchsorted(trace.t_req, cut))
-            t_req, t_on, code_after = trace.t_req[:n], trace.t_on[:n], trace.code_after[:n]
-            lo, hi = self.grid.level(code_after), self.grid.level(code_after + 1)
-            rows = zip(t_req.tolist(), lo.tolist(), hi.tolist())
-            stable = np.array([_sine_stable_until(self.spec, *row) for row in rows])
-            limit = np.where(t_on < stable, stable, -np.inf)
-            if n and (cut < math.inf or t_on[-1] >= trace.t_end):
-                limit[-1] = -np.inf
-            rails = [iv for iv in trace.saturation if iv[0] < cut]
-            self._columns = (t_req, trace.dir[:n], code_after, limit, lo, hi, rails)
-        return self._columns
-
-
 @functools.lru_cache(maxsize=1)
-def _sine_requests(spec: Sine, grid: AdcConfig, t_end: float) -> _SineRequests:
-    """The shared requests of one input, level grid (a config whose clock
-    fields are set to fixed values) and span; only the last one asked for is
-    kept."""
-    return _SineRequests(spec, grid)
+def _sine_requests(spec: Sine, grid: AdcConfig, t_end: float) -> tuple | None:
+    """``_sine_chain`` of one input on a level grid and clock frequency (a
+    config whose clock phase and settle time are set to fixed values) over
+    one span, from the grid's initial code; runs that share all three, such
+    as a Monte Carlo over clock phases, share the one list."""
+    code = initial_code(grid, spec)
+    return _sine_chain(spec, grid.level, grid.level_count, code, t_end, grid.t_clk)
 
 
 def _lockstep(
-    config: AdcConfig, spec: Sine, record: _Record, code: int, requests: _SineRequests
+    config: AdcConfig, spec: Sine, record: _Record, code: int, requests: tuple | None
 ) -> tuple[int, float, Direction | None] | None:
-    """Serve the certified prefix of the shared requests at this config's
-    clock, into ``record``.  Returns the arguments ``_serve`` takes over
-    with, or None when the whole span was served (see ``simulate``)."""
-    columns = requests.columns()
-    if columns is None:
+    """Serve the certified prefix of a sine's shared requests at this
+    config's clock, into ``record``.  Returns the arguments ``_serve`` takes
+    over with, or None when the whole span was served (see ``simulate``)."""
+    if requests is None:
         return code, 0.0, None
-    t_req, step, code_after, limit, lo, hi, rails = columns
+    t_req, step, code_after, limit, rails = requests
     t_ack = _ack_times(t_req, config.clock_freq, config.clock_phase)
     t_on = t_ack + config.settle_time
+    lo, hi = config.level(code_after), config.level(code_after + 1)
     failed = np.flatnonzero(~((t_on < limit) & _inside(spec, t_on, lo, hi)))
     end = int(failed[0]) + 1 if len(failed) else len(t_req)
     record.prefix = (t_req[:end], t_ack[:end], code_after[:end])
@@ -541,18 +478,6 @@ def _lockstep(
     j = end - 1
     record.saturation.extend(iv for iv in rails if iv[0] < t_req[j])
     return int(code_after[j]), float(t_on[j]), _DIRECTIONS[int(step[j])]
-
-
-def _inside(spec: Sine, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """lo <= evaluate(spec, t) <= hi for each element.  Values within a
-    guard of a boundary, where the last bits of ``_evaluate_array``'s sine
-    could decide, are rechecked with the scalar ``evaluate``."""
-    v = _evaluate_array(spec, t)
-    inside = (lo <= v) & (v <= hi)
-    guard = _VALUE_GUARD * max(1.0, abs(spec.offset) + spec.amplitude)
-    for j in np.flatnonzero((np.abs(v - lo) <= guard) | (np.abs(v - hi) <= guard)):
-        inside[j] = lo[j] <= evaluate(spec, float(t[j])) <= hi[j]
-    return inside
 
 
 def reconstruct(trace: Trace) -> list[tuple[float, float]]:

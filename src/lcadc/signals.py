@@ -21,6 +21,7 @@ stepped over.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +34,13 @@ _TWO_PI = 2.0 * math.pi
 # Step past a closed-form root, and the floor of a curvature-envelope step,
 # as a fraction of the time tolerance.
 _ROOT_STEP_FRACTION = 1.0 / 64.0
+# Share of a sine's full scale within which a vectorized comparison with a
+# level defers to the scalar evaluate.
+_VALUE_GUARD = 1e-9
+# Level crossings and periods, at most, in the first block of time of a
+# sine's request list, at the sine's steepest slope, and in any later block.
+_CHAIN_FIRST = 1024
+_CHAIN_BLOCK = 16384
 
 
 class Direction(Enum):
@@ -449,23 +457,262 @@ def _sine_excursions(
     return excursions
 
 
-def _sine_stable_until(spec: Sine, t_from: float, lo: float, hi: float) -> float:
-    """A time such that ``_sine_exit`` from any start in [t_from, that time)
-    returns exactly what it returns from ``t_from``.
+def _sine_chain(
+    spec: Sine, level: Callable, level_count: int, code: int, t_end: float, t_clk: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple] | None:
+    """The requests a sine raises in (0, t_end] from the window of ``code``
+    when every search starts at the previous request, solved in closed form
+    with arrays.  ``level`` maps codes 0 to ``level_count``, elementwise, to
+    the levels of an evenly spaced grid; window c is [level(c), level(c+1)].
 
-    The search reads its start only through each level's period index k and
-    through ``max(t_root, t_from)`` in ``_confirm``.  Both stay put while the
-    start lies before every root, less a time tolerance that dwarfs the
-    rounding of k.  -inf if rounding put t_from on an extremum; +inf if no
-    level is traversed.
+    Request 1 is ``_sine_exit`` from t=0 and request i+1 is ``_sine_exit``
+    from request i in the window after it.  A crossing out of the range is
+    followed by its re-entry, ``next_window_entry`` from the crossing, and
+    the next search starts there in the same window.  Returns t_req, dir
+    (+1 or -1), code_after and limit as read-only arrays, and the rail
+    crossings among the requests as (start, end) pairs.
+
+    ``limit`` bounds the starts that find the next listed entry:
+    ``_sine_exit`` reads its start only through each level's period index
+    and through ``max(t_root, t_from)`` in ``_confirm``, and both stay put
+    up to the earliest root the search from the request tries, less a time
+    tolerance that dwarfs the rounding of the index.  It is +inf if that
+    search tries no level and -inf if rounding put the request on an
+    extremum.  The list ends early, with limit -inf on its last request and
+    no rail crossing after it, at the last request before the first search
+    that ``_sine_block`` cannot decide (None if there is none), and at the
+    first request whose limit lies within ``t_clk`` of it: a converter
+    clocked at 1/t_clk powers up more than t_clk after each request, so no
+    run at that clock serves the list past it.
+
+    The list is solved one block of time after another, up to its end.  In
+    the first block the sine, at its steepest, crosses at most
+    ``_CHAIN_FIRST`` levels and periods, and in each later one four times
+    as many as in the one before, up to ``_CHAIN_BLOCK``.  So the work and
+    memory spent before the list ends do not grow with the number of
+    levels, a list that ends early, as past the tracking limit, costs
+    little, and a list that runs on costs in proportion to its length.
     """
-    excursions = _sine_excursions(spec, t_from, lo, hi)
-    if not excursions:
-        return math.inf
-    if any(shifted for *_, shifted in excursions):
-        return -math.inf
-    first = excursions[0][0]
-    return first - _time_tol(first)
+    empty = np.empty(0)
+    if spec.amplitude == 0.0:
+        return empty, empty.astype(np.int8), empty.astype(np.int64), empty, ()
+    spacing = (level(level_count) - level(0)) / level_count
+    rate = _TWO_PI * spec.frequency * spec.amplitude / spacing + spec.frequency
+    # the entry each block's first search starts from, as (t, window)
+    blocks, t_a, carry, size = [], 0.0, (0.0, code), _CHAIN_FIRST
+    while True:
+        t_b = min(max(t_a + size / rate, math.nextafter(t_a, math.inf)), t_end)
+        size = min(4 * size, _CHAIN_BLOCK)
+        t, codes, sign, bound, cut = _sine_block(spec, level, level_count, carry, t_a, t_b, t_end)
+        window = codes - (sign < 0)
+        inner = (0 < codes) & (codes < level_count)
+        ahead = np.flatnonzero(inner[:cut] & (bound[1 : cut + 1] <= t[:cut] + t_clk))
+        if len(ahead):
+            cut = int(ahead[0]) + 1
+        blocks.append((t[:cut], inner[:cut], sign[:cut], window[:cut], bound[1 : cut + 1]))
+        if cut:
+            carry = (float(t[cut - 1]), int(window[cut - 1]))
+        if len(ahead) or cut < len(t) or t_b == t_end:
+            break
+        t_a = t_b
+    # the list is whole if the search after its last entry finds nothing
+    whole = False
+    if not len(ahead):
+        t_from, w = carry
+        lo = level(w) if w >= 0 else -math.inf
+        hi = level(w + 1) if w < level_count else math.inf
+        whole = _sine_exit(spec, t_from, lo, hi, t_end) is None
+    t, inner, sign, window, bound = (np.concatenate(column) for column in zip(*blocks))
+    requests = np.flatnonzero(inner)
+    limit = bound[requests]
+    rails = np.flatnonzero((window < 0) | (window >= level_count))
+    if not whole:
+        if not len(requests):
+            return None
+        rails = rails[rails < requests[-1]]
+        limit[-1] = -math.inf
+    back = np.append(t, t_end)[rails + 1]
+    columns = (t[requests], sign[requests], window[requests], limit)
+    for column in columns:
+        column.flags.writeable = False
+    return (*columns, tuple(zip(t[rails].tolist(), back.tolist())))
+
+
+def _sine_block(
+    spec: Sine,
+    level: Callable,
+    level_count: int,
+    carry: tuple[float, int],
+    t_a: float,
+    t_b: float,
+    t_end: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """The entries of ``_sine_chain`` whose roots lie in [t_a, t_b), or in
+    (0, t_b) for the first block, requests and both halves of each rail
+    crossing, in time order: t, level code and sign (+1 up through the
+    level, -1 down); the limit bound of the search from ``carry``, the entry
+    before them as (t, window), and from each entry, one longer; and
+    ``cut``, the number of leading entries decided.
+
+    Every excursion past a level the sine crosses is listed in time order,
+    its root and extremum by the float operations of ``_sine_excursions``
+    and its first candidate by ``_confirm``'s.  Only levels within the
+    sine's steepest slope of its value at t_a, and the window of ``carry``,
+    are taken, with a margin for rounding.  An entry is decided if the
+    search from the entry before it puts it first, at the same time: both
+    excursions of that window, with the period index computed from the
+    start, and the signal beyond the level there (values within a guard of
+    the level are rechecked with the scalar ``evaluate``).  The first entry
+    that is not is a candidate that ``_confirm`` would bisect, a period
+    index or extremum that rounding moved, a step off the window's
+    boundary, or a crossing at t_end.
+    """
+    omega = _TWO_PI * spec.frequency
+    amplitude, offset = spec.amplitude, spec.offset
+    v, reach = offset, amplitude
+    if spec.frequency * (t_b - t_a) < 1.0:
+        v = offset + amplitude * math.sin(omega * t_a + spec.phase)
+        reach = omega * amplitude * (t_b - t_a)
+    base = level(0)
+    spacing = (level(level_count) - base) / level_count
+    below = math.floor((max(v - reach, offset - amplitude) - base) / spacing) - 2
+    above = math.ceil((min(v + reach, offset + amplitude) - base) / spacing) + 2
+    t_from, w = carry
+    bottom = max(min(below, w), 0)
+    codes = np.arange(bottom, min(max(above, w + 1), level_count) + 1)
+    levels = level(codes)
+    x = (levels - offset) / amplitude
+    # up through a level, where s = x, and down, where s = -x
+    half_up, half_down = _half_widths(x)
+    kinds = ((1, 0.5 * math.pi, half_up), (-1, -0.5 * math.pi, half_down))
+    # t=0 starts on the first excursion past each boundary of its window
+    boundaries = (w + 1 - bottom, w - bottom) if t_a == 0.0 else (-1, -1)
+    t, index, sign = _sine_excursion_list(spec, kinds, np.abs(x) < 1.0, boundaries, t_a, t_b, t_end)
+    # the window after each entry, one past either end outside the range
+    window = index - (sign < 0)
+
+    # the search from ``carry`` and from each entry: both excursions of its
+    # window
+    t_from = np.concatenate(([t_from], t))
+    start_window = np.concatenate(([w - bottom], window))
+    (up, up_peak, up_root), (down, down_peak, down_root) = (
+        _sine_tried(spec, t_from, center, half, target)
+        for (_, center, half), target in zip(kinds, (start_window + 1, start_window))
+    )
+    shifted = (up & (up_peak <= t_from)) | (down & (down_peak <= t_from))
+    # the earliest root first, the upper level's on a tie
+    first_up = up_root <= down_root
+    earliest = np.where(first_up, up_root, down_root)
+    begin = np.maximum(earliest, t_from)
+    candidate = np.minimum(
+        begin + _time_tols(begin) * _ROOT_STEP_FRACTION,
+        np.minimum(np.where(first_up, up_peak, down_peak), t_end),
+    )
+    # no excursion: no bound; an infinite root keeps a finite tolerance
+    bound = earliest - _time_tols(np.where(up | down, earliest, 0.0))
+    bound[shifted] = -math.inf
+
+    m = len(t)
+    rising = sign > 0
+    at = levels[index]
+    beyond = ~_inside(spec, t, np.where(rising, -math.inf, at), np.where(rising, at, math.inf))
+    decided = (
+        ~shifted[:m]
+        & (up | down)[:m]
+        & (first_up[:m] == rising)
+        & (np.where(first_up, start_window + 1, start_window)[:m] == index)
+        & (candidate[:m] == t)
+        & (t < t_end)
+        & beyond
+    )
+    cut = int(np.argmin(decided)) if not decided.all() else m
+    return t, index + bottom, sign, bound, cut
+
+
+def _sine_excursion_list(
+    spec: Sine,
+    kinds: tuple,
+    crossed: np.ndarray,
+    boundaries: tuple[int, int],
+    t_a: float,
+    t_b: float,
+    t_end: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every excursion with its root in [t_a, t_b), or in (0, t_b) from
+    t_a = 0, past a level the sine crosses (where ``crossed`` is true), in
+    the order of the roots, as the first candidate past its root, level
+    index and sign.  From t=0 the first excursion past each of
+    ``boundaries``, the upper and lower level of the start window, counts
+    even if rounding puts its root at or before t=0: the search starts on
+    it."""
+    omega = 2.0 * math.pi * spec.frequency
+    phase = spec.phase
+    crossed = np.flatnonzero(crossed)
+    parts = []
+    for (sign, center, half), boundary in zip(kinds, boundaries):
+        # the first extremum after t=0, or one before t_a
+        k0 = math.floor((omega * t_a + phase - center) / _TWO_PI) + (1 if t_a == 0.0 else -1)
+        k1 = math.floor((omega * t_b + math.pi + phase - center) / _TWO_PI) + 2
+        peak = (center + _TWO_PI * np.arange(k0, k1, dtype=float) - phase) / omega
+        root = peak - (half[crossed] / omega)[:, None]
+        keep = (root >= t_a if t_a > 0.0 else root > 0.0) & (root < t_b)
+        keep[crossed == boundary, 0] |= root[crossed == boundary, 0] < t_b
+        rows, cols = np.nonzero(keep)
+        parts.append((root[keep], peak[cols], crossed[rows], np.full(len(rows), sign, np.int8)))
+    order = np.argsort(np.concatenate([p[0] for p in parts]), kind="stable")
+    root, peak, level, sign = (np.concatenate(column)[order] for column in zip(*parts))
+    begin = np.maximum(root, 0.0)
+    t = np.minimum(begin + _time_tols(begin) * _ROOT_STEP_FRACTION, np.minimum(peak, t_end))
+    return t, level, sign
+
+
+def _sine_tried(
+    spec: Sine, t_from: np.ndarray, center: float, half: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a search from each element of ``t_from``, the excursion past
+    level ``target`` around phase ``center`` that ``_sine_excursions``
+    tries: whether there is one, its extremum, and its root (inf if
+    none).  ``half`` holds each level's half-width."""
+    omega = 2.0 * math.pi * spec.frequency
+    index = np.clip(target, 0, len(half) - 1)
+    present = (target == index) & ~np.isnan(half[index])
+    k = np.floor((omega * t_from + spec.phase - center) / _TWO_PI) + 1.0
+    ext = (center + _TWO_PI * k - spec.phase) / omega
+    return present, ext, np.where(present, ext - half[index] / omega, math.inf)
+
+
+def _half_widths(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_sine_excursions``' half-width pi/2 - asin(s) per level, up
+    through it, where s = x, and down, where s = -x; s is clamped to -1, and
+    the width is nan where s >= 1 and the level is never traversed.  asin
+    is odd, so one call per level serves both."""
+    asin = np.where(x < 0.0, math.asin(-1.0), math.asin(1.0))
+    crossed = np.flatnonzero(np.abs(x) < 1.0)
+    asin[crossed] = [math.asin(v) for v in x[crossed].tolist()]
+    up = 0.5 * math.pi - asin
+    down = 0.5 * math.pi - -asin
+    up[x >= 1.0] = math.nan
+    down[x <= -1.0] = math.nan
+    return up, down
+
+
+def _time_tols(t: np.ndarray) -> np.ndarray:
+    """``_time_tol`` of each element."""
+    return np.maximum(TIME_ABS_TOL, TIME_REL_TOL * np.abs(t))
+
+
+def _inside(spec: Sine, t: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo <= evaluate(spec, t) <= hi for each element; either bound may be
+    infinite.  Values within a guard of a bound, where the last bits of
+    ``_evaluate_array``'s sine could decide, are rechecked with the scalar
+    ``evaluate``."""
+    v = _evaluate_array(spec, t)
+    inside = (lo <= v) & (v <= hi)
+    guard = _VALUE_GUARD * max(1.0, abs(spec.offset) + spec.amplitude)
+    near = np.flatnonzero((np.abs(v - lo) <= guard) | (np.abs(v - hi) <= guard))
+    rows = zip(lo[near].tolist(), t[near].tolist(), hi[near].tolist())
+    inside[near] = [a <= evaluate(spec, x) <= b for a, x, b in rows]
+    return inside
 
 
 def _sampled_exit(

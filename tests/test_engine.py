@@ -156,6 +156,19 @@ def test_config_rejects_a_fractional_level_count(levels):
         AdcConfig(delta=1.0, level_count=levels, v_min=-16.0, clock_freq=201e3)
 
 
+def test_config_keeps_an_integral_float_level_count_as_an_int():
+    # 32.0 levels is the 32-level converter: the same trace bytes, and a
+    # top-clamped input starts in the int code 31
+    as_float = AdcConfig(delta=1.0, level_count=32.0, v_min=-16.0, clock_freq=201e3)
+    assert type(as_float.level_count) is int and as_float == default_config()
+    spec = Sine(16.0, 1000.0)
+    expected = simulate(default_config(), spec, 2e-3).to_json()
+    assert simulate(as_float, spec, 2e-3).to_json() == expected
+    assert '"level_count":32,' in expected
+    code = initial_code(as_float, Constant(16.0))
+    assert type(code) is int and code == 31
+
+
 @pytest.mark.parametrize("levels", [math.inf, math.nan])
 def test_config_rejects_a_non_finite_level_count_by_its_range(levels):
     # int() of these would raise OverflowError or a bare ValueError
@@ -604,7 +617,7 @@ def test_rail_crossing_at_span_end_is_recorded():
 def _search_work(monkeypatch, spec, t_end):
     """A trace with the evaluate calls and the curvature-envelope steps made
     inside its crossing searches."""
-    engine._sine_requests.cache_clear()  # a sine's searches run on a cold memo
+    engine._sine_requests.cache_clear()  # a sine's list is solved afresh
     calls = {"evaluate": 0, "_envelope_step": 0}
 
     def counting(name):
@@ -631,8 +644,11 @@ def test_search_work_is_pinned(monkeypatch):
     spec = SumOfSines(tones=((10.0, 1000.0, 0.0), (7.0, 2300.0, 0.4)))
     trace, calls, steps = _search_work(monkeypatch, spec, 0.01)
     assert (len(trace.events), len(trace.saturation), calls, steps) == (686, 7, 328, 1471)
+    # a sine's requests come from the list, whose arrays recheck each entry
+    # near its level (all of them this early), and whose one last scalar
+    # search finds nothing before t_end: 619 + 2 calls
     trace, calls, _ = _search_work(monkeypatch, Sine(16.0, 1000.0), 0.01)
-    assert (len(trace.events), len(trace.saturation), calls) == (619, 0, 1241)
+    assert (len(trace.events), len(trace.saturation), calls) == (619, 0, 621)
 
 
 def _seeded_tones(seed, amplitude, top_frequency):
@@ -721,9 +737,9 @@ def test_lockstep_matches_event_loop(
 ):
     # frequency up to twice the tracking limit at 201 kHz, offsets that
     # drive some runs into a rail, on integer and non-dyadic level grids;
-    # runs at a few clock frequencies and phases share the recorded requests
-    # (the memo key drops the clock), and each must give the loop's trace
-    # byte for byte, as must a rerun that hits the memo.  Amplitude and
+    # runs at a few clock frequencies and phases read the solved request
+    # list, cached per clock frequency, and each must give the loop's trace
+    # byte for byte, as must a rerun on the cached list.  Amplitude and
     # offset count levels; no offset means 0.3 V, just below level 19 of
     # the 0.1 V grid (0.30000000000000004)
     base = default_config()
@@ -753,9 +769,10 @@ def test_lockstep_skips_excursions_inside_the_off_time():
     # level 80 times in 40 periods.  A power-up often finds the input back
     # inside the shifted window after it crossed out and in again while the
     # comparators were off: the loop never sees those two crossings.  Which
-    # ones it misses depends on the clock phase, so the requests recorded
-    # at one phase (here one without catch-ups, which records them all)
-    # serve another only as far as the certificate allows
+    # ones it misses depends on the clock phase, so the one request list,
+    # which holds every crossing (a run at this phase, without catch-ups,
+    # serves them all), serves another phase only as far as the
+    # certificate allows
     base = default_config()
     spec = Sine(0.1, 150e3, offset=0.03)
     t_end = 40 / spec.frequency
@@ -773,92 +790,255 @@ def test_lockstep_skips_excursions_inside_the_off_time():
     assert quiet >= 5
 
 
-def _kept(spec, t_end):
-    """The shared requests the sine memo keeps for ``spec`` on the stock
-    grid, with the number of requests they hold."""
-    requests = engine._sine_requests(spec, replace(default_config(), clock_freq=1.0), t_end)
-    return requests, len(requests.columns()[0])
+def _cached_list(spec, config, t_end):
+    """The cached request list of ``spec`` at ``config``'s grid and clock
+    frequency over ``t_end``, as simulate reads it."""
+    return engine._sine_requests(spec, replace(config, clock_phase=0.0, settle_time=0.0), t_end)
 
 
-def test_the_shared_requests_keep_the_run_reaching_furthest():
+def _same_list(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a[:4], b[:4])) and a[4] == b[4]
+
+
+def test_a_run_does_not_depend_on_the_runs_before_it():
     # just past the tracking limit each clock phase meets its first catch-up
-    # at a different request: phase 0 serves 867 requests before its own,
-    # and the later runs, which leave the sequence earlier, do not replace it
+    # request at a different point, and lockstep serves each phase exactly
+    # the listed requests before it.  A run's trace, and the cached list,
+    # are the same on a fresh cache, after a run at another phase and after
+    # a run over another span
     base = default_config()
     spec = Sine(16.0, 1.01 * max_frequency(16.0, base.delta, base.t_clk))
     t_end = 20 / spec.frequency
     engine._sine_requests.cache_clear()
-    for i in (0, 11, 17, 5):
+    fresh = _cached_list(spec, base, t_end)
+    assert len(fresh[0]) == 1239 and fresh[4] == ()
+    before = (None, replace(base, clock_phase=0.3 * base.t_clk), base)
+    for i, served in ((0, 867), (11, 30), (17, 744), (5, 650), (12, 93), (14, 153)):
         cfg = replace(base, clock_phase=i / 20 * base.t_clk)
-        assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
-        requests, count = _kept(spec, t_end)
-        assert count == 867 and requests.trace.config.clock_phase == 0.0
-        assert requests.reach < t_end
-    # in this order each run's first catch-up comes later than the kept
-    # run's, so each replaces it
-    engine._sine_requests.cache_clear()
-    counts = []
-    for i in (11, 12, 14, 0):
-        cfg = replace(base, clock_phase=i / 20 * base.t_clk)
-        assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
-        requests, count = _kept(spec, t_end)
-        assert requests.trace.config == cfg
-        counts.append(count)
-    assert counts == [30, 93, 153, 867]
+        expected = _loop_trace(cfg, spec, t_end)
+        assert int(np.argmax(expected.immediate)) == served
+        record = engine._Record()
+        assert engine._lockstep(cfg, spec, record, 16, fresh) == (
+            int(expected.code_after[served - 1]),
+            float(expected.t_on[served - 1]),
+            Direction.UP if expected.dir[served - 1] > 0 else Direction.DOWN,
+        )
+        assert len(record.prefix[0]) == served
+        for other, span in zip(before, (t_end, t_end, t_end / 2)):
+            engine._sine_requests.cache_clear()
+            if other is not None:
+                simulate(other, spec, span)
+            assert simulate(cfg, spec, t_end).to_json() == expected.to_json()
+            assert _same_list(_cached_list(spec, cfg, t_end), fresh)
 
 
-def test_a_catch_up_into_a_rail_ends_the_shared_requests():
+def test_a_catch_up_into_a_rail_hands_over_before_it():
     # the input rises through the top levels faster than the converter
-    # follows, and the power-up after the crossing into code 31 already
-    # finds it past the top rail.  That saturation interval starts at a
-    # clock-dependent time, so the shared requests end before it, well
-    # before the first immediate event
+    # follows.  The list holds the clock-free crossing into the top rail,
+    # which a run meets only if its search after the crossing into code 31
+    # finds it; at most phases that power-up already finds the input past
+    # the rail, so the saturation interval starts at a clock-dependent time
+    # and lockstep hands over before it
     base = default_config()
     spec = Sine(16.0, 1500.0, phase=0.5, offset=6.0)
     t_end = 1 / spec.frequency
     engine._sine_requests.cache_clear()
-    trace = simulate(base, spec, t_end)
-    start = trace.saturation[0][0]
-    assert start in trace.t_on.tolist() and start < trace.t_req[trace.immediate][0]
-    requests, count = _kept(spec, t_end)
-    assert requests.reach == start and count == np.count_nonzero(trace.t_req < start)
-    for i in range(1, 10):
+    requests = _cached_list(spec, base, t_end)
+    assert len(requests[0]) == 50
+    assert requests[4] == ((1.858203278775145e-05, 0.000208648005182235),)
+    at_power_up = 0
+    for i in range(10):
         cfg = replace(base, clock_phase=i / 10 * base.t_clk)
-        assert simulate(cfg, spec, t_end).to_json() == _loop_trace(cfg, spec, t_end).to_json()
+        trace = simulate(cfg, spec, t_end)
+        assert trace.to_json() == _loop_trace(cfg, spec, t_end).to_json()
+        record = engine._Record()
+        engine._lockstep(cfg, spec, record, initial_code(cfg, spec), requests)
+        if trace.saturation[0] == requests[4][0]:
+            assert record.prefix[0][-1] > trace.saturation[0][1]
+        else:
+            start = trace.saturation[0][0]
+            assert start in trace.t_on.tolist() and record.prefix[0][-1] < start
+            at_power_up += 1
+    assert at_power_up == 8
 
 
-def test_writing_to_a_returned_trace_leaves_the_shared_requests_alone():
-    # the memo keeps the trace itself, whose columns are read-only
+def test_a_returned_trace_is_read_only_and_apart_from_the_shared_list():
+    # the trace's columns are read-only copies; the cached list's arrays
+    # are read-only too, so no caller can change what later runs read
     spec, t_end = Sine(16.0, 1000.0), 2e-3
     other = default_config(clock_phase=1e-6)
     expected = _loop_trace(other, spec, t_end).to_json()
     engine._sine_requests.cache_clear()
     trace = simulate(default_config(), spec, t_end)
-    for name in ("t_req", "t_ack", "code_after", "t_on", "dir", "immediate"):
+    shared = _cached_list(spec, default_config(), t_end)
+    names = ("t_req", "t_ack", "code_after", "t_on", "dir", "immediate")
+    for column in (*(getattr(trace, name) for name in names), *shared[:4]):
         with pytest.raises(ValueError):
-            getattr(trace, name)[:] = 0
+            column[:] = 0
+        others = (array for array in shared[:4] if array is not column)
+        assert not any(np.shares_memory(column, array) for array in others)
     assert simulate(other, spec, t_end).to_json() == expected
 
 
-def test_monte_carlo_searches_once_per_shared_request(monkeypatch):
-    # 20 clock phases at the stock point share one request sequence: the
-    # crossing search runs once per request (plus the last search, which
-    # finds no exit before t_end), not once per trial
-    calls = 0
-    real = signals._exit
+def test_monte_carlo_solves_the_shared_list_once(monkeypatch):
+    # 20 clock phases at the stock point share one request list: it is
+    # solved once, with no loop search, and serves every trial whole.  The
+    # scalar work left is one last search after the list and the evaluate
+    # calls that recheck values near a level
+    calls = {"_sine_chain": 0, "_sine_block": 0, "_exit": 0, "_sine_exit": 0, "evaluate": 0}
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counting(name):
+        real = getattr(signals, name)
 
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(signals, name, counting(name))
+    monkeypatch.setattr(engine, "_sine_chain", signals._sine_chain)
     spec = Sine(16.0, 1000.0)
     t_end = 10.25e-3
-    monkeypatch.setattr(signals, "_exit", counting)
     engine._sine_requests.cache_clear()
     stats = monte_carlo_off_time(default_config(), spec, t_end, trials=20, seed=1)
     assert stats.n_events == 20 * 635
-    assert calls == 635 + 1
-    # the same sequence serves another run at the same point
+    # the list is solved in two blocks, the first of about 1024 crossings at
+    # the steepest slope (10.09 ms); each of its 635 entries comes too early
+    # for the candidate to clear the guard and is rechecked, and the last
+    # scalar search, which finds nothing before t_end, evaluates once
+    work = {"_sine_chain": 1, "_sine_block": 2, "_exit": 0, "_sine_exit": 1, "evaluate": 636}
+    assert calls == work
+    # the same list serves another run at the same point
     simulate(default_config(clock_phase=1e-6), spec, t_end)
-    assert calls == 635 + 1
+    assert calls == work
+
+
+@pytest.mark.parametrize(
+    ("bits", "speed", "t_end", "work"),
+    [
+        (22, 64e3, 2e-3, (1, 1, 2_053, 1_023)),
+        (16, 0.5, 0.2, (9_892, 3, 20_117, 9_894)),
+        (22, 0.5, 0.2, (10_049, 3, 20_116, 10_051)),
+    ],
+)
+def test_the_list_work_does_not_grow_with_the_level_count(monkeypatch, bits, speed, t_end, work):
+    # a full-scale sine far past the tracking limit outruns the clock at
+    # once: its list ends at the first request, inside a first block of
+    # about 1024 crossings at the steepest slope.  At half the limit the
+    # list runs on, block by block.  The requests listed, the blocks, the
+    # levels whose half-widths are solved and the evaluate calls are
+    # pinned; none grows with the level count, and the runs are the loop's
+    config = AdcConfig(delta=2.0 / 2**bits, level_count=2**bits, v_min=-1.0, clock_freq=201e3)
+    spec = Sine(0.999, speed * max_frequency(0.999, config.delta, config.t_clk))
+    counts = {"_sine_block": 0, "levels": 0, "evaluate": 0}
+
+    def counting(name, size=lambda *args: 1):
+        real = getattr(signals, name)
+
+        def counted(*args):
+            counts["levels" if name == "_half_widths" else name] += size(*args)
+            return real(*args)
+
+        return counted
+
+    engine._sine_requests.cache_clear()
+    with monkeypatch.context() as patch:
+        for name in ("_sine_block", "evaluate"):
+            patch.setattr(signals, name, counting(name))
+        patch.setattr(signals, "_half_widths", counting("_half_widths", len))
+        requests = _cached_list(spec, config, t_end)
+    assert (len(requests[0]), *counts.values()) == work
+    assert simulate(config, spec, t_end).to_json() == _loop_trace(config, spec, t_end).to_json()
+
+
+def _sine_stable_until(spec, t_from, lo, hi):
+    """The scalar bound a listed limit equals: a time such that
+    ``_sine_exit`` from any start in [t_from, that time) returns what it
+    returns from ``t_from``.  The search reads its start only through each
+    level's period index and through ``max(t_root, t_from)`` in
+    ``_confirm``; both stay put before every root, less a time tolerance
+    that dwarfs the rounding of the index.  -inf if rounding put t_from on
+    an extremum; +inf if no level is traversed."""
+    excursions = signals._sine_excursions(spec, t_from, lo, hi)
+    if not excursions:
+        return math.inf
+    if any(shifted for *_, shifted in excursions):
+        return -math.inf
+    first = excursions[0][0]
+    return first - signals._time_tol(first)
+
+
+def _scalar_rails(spec, config, t, code, t_end):
+    """The scalar searches from ``t`` in the window of ``code`` as the loop
+    runs them while every power-up comes at once: the rail crossings met
+    before the next request, as (start, end) pairs, and that request as
+    (t_req, step), or None if the span ends first."""
+    rails = []
+    while True:
+        lo, hi = config.window(code)
+        found = signals._sine_exit(spec, t, lo, hi, t_end)
+        if found is None:
+            return rails, None
+        step = 1 if found[1] is Direction.UP else -1
+        if 0 <= code + step < config.level_count:
+            return rails, (found[0], step)
+        back = None
+        if found[0] < t_end:
+            back = signals.next_window_entry(spec, found[0], lo, hi, t_end)
+        rails.append((found[0], t_end if back is None else back))
+        if back is None:
+            return rails, None
+        t = back
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    amplitude=st.floats(1.0, 18.0),
+    offset=st.floats(-6.0, 6.0) | st.none(),
+    speed=st.floats(0.05, 2.0),
+    sine_phase=st.floats(0.0, 6.28),
+    delta=st.sampled_from([1.0, 0.1, 1 / 3]),
+    clock_freq=st.sampled_from([100e3, 150e3, 201e3, 402e3]),
+    periods=st.floats(0.3, 5.0),
+)
+def test_sine_chain_is_the_chained_scalar_search(
+    amplitude, offset, speed, sine_phase, delta, clock_freq, periods
+):
+    # the inputs of test_lockstep_matches_event_loop: each listed request is
+    # the scalar search from the one before it, in the window after it,
+    # with the rail crossings between them, and its limit is the scalar
+    # bound from it, bit for bit.  Only the last limit may instead be -inf,
+    # where the list ends before the span does: at a search the arrays
+    # cannot decide, or at the first request whose bound comes within a
+    # clock period
+    base = default_config()
+    volts = 0.3 if offset is None else offset * delta
+    assume(abs(volts + amplitude * delta * math.sin(sine_phase)) < 15.9 * delta)
+    frequency = speed * max_frequency(amplitude, base.delta, base.t_clk)
+    spec = Sine(amplitude * delta, frequency, phase=sine_phase, offset=volts)
+    t_end = periods / frequency
+    config = replace(base, delta=delta, v_min=-16 * delta, clock_freq=clock_freq)
+    code = initial_code(config, spec)
+    chain = signals._sine_chain(spec, config.level, config.level_count, code, t_end, config.t_clk)
+    if chain is None:
+        return
+    t_req, step, code_after, limit, rails = chain
+    t, seen = 0.0, []
+    for i in range(len(t_req)):
+        before, found = _scalar_rails(spec, config, t, code, t_end)
+        seen += before
+        assert found == (t_req[i], step[i])
+        t, code = found[0], code + found[1]
+        assert code == code_after[i]
+        bound = _sine_stable_until(spec, t, *config.window(code))
+        if i < len(t_req) - 1:
+            assert limit[i] == bound and bound > t + config.t_clk
+    after, found = _scalar_rails(spec, config, t, code, t_end)
+    if len(t_req) and limit[-1] == -math.inf:
+        assert rails in (tuple(seen), tuple(seen + after))
+    else:
+        # a whole list: the scalar searches end with it
+        assert found is None and rails == tuple(seen + after)
+        assert not len(t_req) or limit[-1] == bound

@@ -12,16 +12,15 @@ this script writes into OUT_DIR, and put their outputs in a directory of the
 same name: ``sum_of_sines`` exercises the generic crossing search that the
 all-sine stock runs never reach, and ``sine_past_limit``, a full-scale sine
 at 1.5 kHz, past the tracking limit, exercises the event loop that takes
-over from a sine's shared request sequence.  ``montecarlo --trials 20``
-reads a third file, a full-scale sine at 1,010 Hz, just past the limit,
-where the trials leave the shared sequence at different requests and a
-later trial can replace the run it is read from.  Last, for each waveform
+over from a sine's shared request list.  ``montecarlo --trials 20`` reads
+a third file, a full-scale sine at 1,010 Hz, just past the limit, where
+each trial leaves the shared list at a different request.  Last, for each waveform
 kind (sine, sum_of_sines, ramp, sampled) it makes 50 seeded random
 ``simulate`` calls through the library and hashes their ``Trace.to_json``
 texts as ``random/<kind>``: 1, 0.1 and 1/3 V grids, settle times, inputs
 past the tracking limit and into the rails, none of which the stock runs
-reach.  Each random sine runs at three clock phases, so the later ones take
-the shared request sequence.  Prints one ``sha256 name`` line per written
+reach.  Each random sine runs at three clock phases, which share one
+request list.  Prints one ``sha256 name`` line per written
 file (path relative to OUT_DIR), per captured stdout and per random kind,
 sorted by name.  OUT_DIR is replaced by a fixed token in the captured
 stdout, so two listings made into different directories, say from two
@@ -110,8 +109,8 @@ RANDOM_KINDS = ("sine", "sum_of_sines", "ramp", "sampled")
 RANDOM_RUNS = 50
 # level steps in volts: binary, and two that no binary fraction represents
 RANDOM_GRIDS = (1.0, 0.1, 1.0 / 3.0)
-# a sine's request sequence is shared across clock phases: run each input
-# at this many phases, in one block, so later runs take the lockstep path
+# a sine's request list is shared across clock phases: run each input at
+# this many phases, in one block, so later runs read the cached list
 SINE_PHASES = 3
 
 
